@@ -103,10 +103,6 @@ void write_json(std::ostream& os, const PipelineResult& r) {
      << "    \"mode\": \""
      << (r.dep_mode == dep::DepMode::Exact ? "exact" : "structural")
      << "\",\n"
-     << "    \"ternary_prefilter\": "
-     << (r.dep_ternary_prefilter ? "true" : "false") << ",\n"
-     << "    \"partition\": \"" << dep::partition_name(r.dep_partition)
-     << "\",\n"
      << "    \"regions\": " << r.dep_stats.regions << ",\n"
      << "    \"matrix_bytes\": " << r.dep_stats.matrix_bytes << ",\n"
      << "    \"tiles_nonzero\": " << r.dep_stats.tiles_nonzero << ",\n"
@@ -181,11 +177,7 @@ void write_analyze_json(std::ostream& os, const AnalyzeReport& r) {
      << ", \"violating_registers\": " << r.violating_registers
      << ", \"dep_mode\": \""
      << (r.dep_mode == dep::DepMode::Exact ? "exact" : "structural")
-     << "\", \"dep_ternary_prefilter\": "
-     << (r.dep_ternary_prefilter ? "true" : "false")
-     << ", \"dep_ternary_resolved\": " << r.dep_stats.ternary_resolved
-     << ", \"dep_partition\": \"" << dep::partition_name(r.dep_partition)
-     << "\", \"dep_tiled\": " << (r.dep_tiled ? "true" : "false")
+     << "\", \"dep_ternary_resolved\": " << r.dep_stats.ternary_resolved
      << ", \"dep_regions\": " << r.dep_stats.regions
      << ", \"dep_matrix_bytes\": " << r.dep_stats.matrix_bytes
      << ", \"dep_tiles_nonzero\": " << r.dep_stats.tiles_nonzero

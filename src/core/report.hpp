@@ -75,9 +75,6 @@ struct AnalyzeReport {
   std::size_t hybrid_violating_pairs = 0;
   std::size_t violating_registers = 0;
   dep::DepMode dep_mode = dep::DepMode::Exact;
-  bool dep_ternary_prefilter = true;
-  dep::PartitionMode dep_partition = dep::PartitionMode::Auto;
-  bool dep_tiled = false;
   dep::DepStats dep_stats;
 };
 

@@ -23,8 +23,6 @@ SecureFlowTool::SecureFlowTool(const netlist::Netlist& circuit,
 PipelineResult SecureFlowTool::run() {
   PipelineResult result;
   result.dep_mode = options_.dep.mode;
-  result.dep_ternary_prefilter = options_.dep.ternary_prefilter;
-  result.dep_partition = options_.dep.partition;
   obs::TraceSession* trace = obs::TraceSession::active();
   obs::Span total(trace, "pipeline");
 

@@ -32,10 +32,8 @@ struct PipelineOptions {
   /// Repair-candidate selection strategy (see bench/ablation_resolution).
   security::ResolutionPolicy resolution =
       security::ResolutionPolicy::BestGlobal;
-  /// Resolution-engine execution options: incremental delta-maintained
-  /// violation state (default) vs. from-scratch recomputation
-  /// (`--no-incremental`), and the trial-evaluation thread count. Both
-  /// engines produce bit-identical results.
+  /// Resolution-engine execution options (trial-evaluation thread count
+  /// or shared pool); results are bit-identical for any setting.
   security::ResolveOptions resolve;
   /// Debug/verify mode: run the lint post-transformation invariant pass
   /// (src/lint/invariant.hpp) after every applied RSN change and once on
@@ -77,8 +75,6 @@ struct PipelineResult {
   /// Echo of the analysis configuration that produced dep_stats, so
   /// reports and benchmark artifacts are self-describing.
   dep::DepMode dep_mode = dep::DepMode::Exact;
-  bool dep_ternary_prefilter = true;
-  dep::PartitionMode dep_partition = dep::PartitionMode::Auto;
 
   dep::DepStats dep_stats;
   security::PureStats pure;

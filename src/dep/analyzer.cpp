@@ -11,6 +11,7 @@
 #include "netlist/cone_check.hpp"
 #include "netlist/sim.hpp"
 #include "obs/trace.hpp"
+#include "util/dep_matrix.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rsnsec::dep {
@@ -33,11 +34,6 @@ namespace {
 constexpr std::size_t kShareMaxClauseSize = 8;
 constexpr std::uint32_t kShareMaxLbd = 4;
 
-/// PartitionMode::Auto switches to the tiled matrices at this many circuit
-/// flip-flops: below it the dense planes fit comfortably in cache and the
-/// dense kernels win; above it the n^2/8 plane bytes start to dominate the
-/// analysis footprint (4096 FFs = 4 MiB of planes, growing quadratically).
-constexpr std::size_t kAutoPartitionFfs = 4096;
 /// Region sizing of the deterministic partition: close a region once it
 /// holds kRegionTargetFfs flip-flops, or earlier at a module boundary once
 /// it holds at least kRegionMinFfs (so per-module instruments — the
@@ -117,13 +113,7 @@ ConeSignature cone_signature(const netlist::Netlist& nl, const Cone& cone) {
 DependencyAnalyzer::DependencyAnalyzer(const netlist::Netlist& nl,
                                        const rsn::Rsn& network,
                                        DepOptions options)
-    : nl_(nl), rsn_(network), options_(options) {
-  // Representation choice is a pure function of options and circuit, so
-  // run() and restore() agree on it and cache keys can include it.
-  tiled_ = options_.partition == PartitionMode::Tiled ||
-           (options_.partition == PartitionMode::Auto &&
-            nl_.ffs().size() >= kAutoPartitionFfs);
-}
+    : nl_(nl), rsn_(network), options_(options) {}
 
 void DependencyAnalyzer::build_index() {
   ff_nodes_ = nl_.ffs();
@@ -145,7 +135,6 @@ void DependencyAnalyzer::build_index() {
 void DependencyAnalyzer::partition_regions() {
   region_first_block_.clear();
   stats_.regions = 0;
-  if (!tiled_) return;
   const std::size_t nb = (ff_nodes_.size() + 63) / 64;
   region_first_block_.push_back(0);
   if (nb == 0) return;
@@ -171,28 +160,9 @@ void DependencyAnalyzer::partition_regions() {
 }
 
 void DependencyAnalyzer::refresh_matrix_stats() {
-  if (tiled_) {
-    stats_.matrix_bytes =
-        one_cycle_tiled_.memory_bytes() + closure_tiled_.memory_bytes();
-    stats_.tiles_nonzero =
-        one_cycle_tiled_.tiles_nonzero() + closure_tiled_.tiles_nonzero();
-    stats_.tiles_spilled =
-        one_cycle_tiled_.tiles_spilled() + closure_tiled_.tiles_spilled();
-  } else {
-    stats_.matrix_bytes = one_cycle_.memory_bytes() + closure_.memory_bytes();
-    stats_.tiles_nonzero = 0;
-    stats_.tiles_spilled = 0;
-  }
-}
-
-std::vector<std::size_t> DependencyAnalyzer::closure_path_successors(
-    std::size_t i) const {
-  if (tiled_) return closure_tiled_.path_successors(i);
-  std::vector<std::size_t> out;
-  for (std::size_t j : closure_.successors(i)) {
-    if (closure_.get(i, j) == DepKind::Path) out.push_back(j);
-  }
-  return out;
+  stats_.matrix_bytes = one_cycle_.memory_bytes() + closure_.memory_bytes();
+  stats_.tiles_nonzero = one_cycle_.tiles_nonzero() + closure_.tiles_nonzero();
+  stats_.tiles_spilled = one_cycle_.tiles_spilled() + closure_.tiles_spilled();
 }
 
 void DependencyAnalyzer::extract_capture_cones() {
@@ -308,7 +278,7 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
     }
   }
 
-  if (undecided > 0 && options_.ternary_prefilter) {
+  if (undecided > 0) {
     // Pair-ternary triage: prove leaves only-structural by abstract
     // evaluation of the cone. Each proof is exactly an UNSAT certificate,
     // so it removes the SAT query without changing its classification.
@@ -330,10 +300,8 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
     // checker (and its solver) is task-local: SAT state is never shared
     // between threads; clause sharing passes immutable clause vectors
     // between the two scheduling waves, never live solvers.
-    netlist::ConeCheckOptions copts;
-    copts.conflict_limit = options_.sat_conflict_limit;
-    copts.incremental = options_.sat_incremental;
-    netlist::ConeDependenceChecker checker(nl_, cone, copts);
+    netlist::ConeDependenceChecker checker(nl_, cone,
+                                           options_.sat_conflict_limit);
     if (share != nullptr && share->import != nullptr) {
       stats.shared_clauses +=
           checker.import_clauses(*share->import, *share->leaf_to_canon);
@@ -381,15 +349,9 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
 }
 
 void DependencyAnalyzer::compute_one_cycle() {
-  if (tiled_) {
-    one_cycle_tiled_ = TiledDepMatrix(ff_nodes_.size());
-    if (options_.spill_backend != nullptr && options_.tile_spill_budget > 0) {
-      one_cycle_tiled_.set_spill(options_.spill_backend,
-                                 options_.tile_spill_budget);
-    }
-  } else {
-    one_cycle_ = DepMatrix(ff_nodes_.size());
-  }
+  one_cycle_ = TiledDepMatrix(ff_nodes_.size());
+  if (options_.spill_backend != nullptr && options_.tile_spill_budget > 0)
+    one_cycle_.set_spill(options_.spill_backend, options_.tile_spill_budget);
 
   // One task per cone: first every circuit flip-flop's next-state cone,
   // then every scan FF's capture cone (cached by extract_capture_cones).
@@ -428,12 +390,10 @@ void DependencyAnalyzer::compute_one_cycle() {
   // Phase 2 (sequential): group isomorphic cones. The representative of a
   // group is its lowest task index; membership is decided by full
   // signature equality — the 64-bit hash only buckets, so a hash
-  // collision can never make two different cones share verdicts. With the
-  // cache off every task is its own group, which runs the identical code
-  // path below (same RNG streams, same verdicts) minus the sharing.
+  // collision can never make two different cones share verdicts.
   std::vector<std::size_t> group_of(ntasks);
   std::vector<std::size_t> reps;
-  if (options_.cone_cache) {
+  {
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
     buckets.reserve(ntasks);
     for (std::size_t t = 0; t < ntasks; ++t) {
@@ -452,34 +412,25 @@ void DependencyAnalyzer::compute_one_cycle() {
       }
       group_of[t] = g;
     }
-  } else {
-    reps.resize(ntasks);
-    for (std::size_t t = 0; t < ntasks; ++t) {
-      reps[t] = t;
-      group_of[t] = t;
-    }
   }
 
   // Phase 3 (parallel): classify one representative per group. The RNG
   // stream is a pure function of (seed, signature), so a representative's
   // verdicts are bit for bit what classifying any member would produce.
   //
-  // With clause sharing on, classification runs in two deterministic
-  // waves: representatives whose cones are isomorphic modulo a leaf
-  // permutation (equal canonical forms, dep/clause_share.hpp) form share
-  // groups; wave 1 classifies each share-group leader (lowest
-  // representative index) and every singleton, leaders of multi-member
-  // groups exporting their learned clauses; wave 2 classifies the
-  // remaining members with the leader's clauses imported through their
-  // own leaf permutation. Which clauses flow where depends only on the
-  // cones, never on the schedule, and imported clauses are all implied by
-  // the receiving CNF — verdicts are unchanged, only solver work shrinks.
+  // In DepMode::Exact, classification runs in two deterministic waves:
+  // representatives whose cones are isomorphic modulo a leaf permutation
+  // (equal canonical forms, dep/clause_share.hpp) form share groups;
+  // wave 1 classifies each share-group leader (lowest representative
+  // index) and every singleton, leaders of multi-member groups exporting
+  // their learned clauses; wave 2 classifies the remaining members with
+  // the leader's clauses imported through their own leaf permutation.
+  // Which clauses flow where depends only on the cones, never on the
+  // schedule, and imported clauses are all implied by the receiving CNF —
+  // verdicts are unchanged, only solver work shrinks.
   std::vector<std::vector<LeafDep>> group_results(reps.size());
   std::vector<DepStats> group_stats(reps.size());
-  const bool sharing = options_.cone_cache && options_.share_clauses &&
-                       options_.sat_incremental &&
-                       options_.mode == DepMode::Exact;
-  if (!sharing) {
+  if (options_.mode != DepMode::Exact) {
     pool_->parallel_for(
         0, reps.size(),
         [&](std::size_t g) {
@@ -555,18 +506,14 @@ void DependencyAnalyzer::compute_one_cycle() {
   // Phase 4 (sequential): distribute verdicts (translating cone-local
   // leaf indices back to each member's own leaves) and counters in task
   // order. Counters are replicated per member — the cache saves work, not
-  // logical results — so every DepStats field matches a cache-off run.
+  // logical results — so every classification counter reports one
+  // classification per cone.
   for (std::size_t t = 0; t < ntasks; ++t) {
     const std::size_t g = group_of[t];
     const Cone& cone = task_cone(t);
     if (t < nff) {
       for (const LeafDep& d : group_results[g]) {
-        const std::size_t src = circuit_index(cone.leaves[d.leaf_idx]);
-        if (tiled_) {
-          one_cycle_tiled_.upgrade(src, t, d.kind);
-        } else {
-          one_cycle_.upgrade(src, t, d.kind);
-        }
+        one_cycle_.upgrade(circuit_index(cone.leaves[d.leaf_idx]), t, d.kind);
       }
     } else {
       const CaptureTask& ct = capture_tasks[t - nff];
@@ -604,32 +551,16 @@ void DependencyAnalyzer::compute_one_cycle() {
   }
 
   std::vector<bool> denoted(ff_nodes_.size(), false);
-  if (tiled_) {
-    stats_.deps_before_bridging = one_cycle_tiled_.count_nonzero();
-    one_cycle_tiled_.mark_endpoints(denoted);
-  } else {
-    stats_.deps_before_bridging = one_cycle_.count_nonzero();
-    for (std::size_t i = 0; i < ff_nodes_.size(); ++i) {
-      for (std::size_t j : one_cycle_.successors(i)) {
-        denoted[i] = true;
-        denoted[j] = true;
-      }
-    }
-  }
+  stats_.deps_before_bridging = one_cycle_.count_nonzero();
+  one_cycle_.mark_endpoints(denoted);
   for (bool d : denoted) stats_.denoted_ffs_before += d ? 1u : 0u;
 }
 
 void DependencyAnalyzer::bridge_internal() {
   const std::size_t n = ff_nodes_.size();
-  if (tiled_) {
-    closure_tiled_ = one_cycle_tiled_;  // deep copy, detached from spill
-    if (options_.spill_backend != nullptr && options_.tile_spill_budget > 0) {
-      closure_tiled_.set_spill(options_.spill_backend,
-                               options_.tile_spill_budget);
-    }
-  } else {
-    closure_ = one_cycle_;
-  }
+  closure_ = one_cycle_;  // deep copy, detached from spill
+  if (options_.spill_backend != nullptr && options_.tile_spill_budget > 0)
+    closure_.set_spill(options_.spill_backend, options_.tile_spill_budget);
   if (!options_.bridge_internal) {
     stats_.deps_after_bridging = stats_.deps_before_bridging;
     stats_.denoted_ffs_after = stats_.denoted_ffs_before;
@@ -640,133 +571,114 @@ void DependencyAnalyzer::bridge_internal() {
   // then remove v from the relation (Fig. 3). Only-structural hops make
   // the composed dependency only-structural unless a path-dependent pair
   // is already known. Elimination of a *set* of nodes is order-
-  // independent (each order yields the same bridged relation), which both
-  // representations exploit below.
-  if (!tiled_) {
-    // Dense: sequential word-parallel eliminations — the predecessors()/
-    // successors() index vectors this loop used to allocate per internal
-    // flip-flop dominated the bridging phase on large circuits.
-    for (std::size_t v = 0; v < n; ++v) {
-      if (internal_[v]) closure_.eliminate(v);
+  // independent (each order yields the same bridged relation).
+  //
+  // An internal flip-flop whose every dependency stays inside its region
+  // can be bridged on a small dense matrix lifted from the region's
+  // diagonal tiles — regions are independent, so they run in parallel,
+  // and the dense eliminate kernel beats the tiled one on a region-sized
+  // matrix. Only internals with at least one inter-region edge ("cross")
+  // must be eliminated on the global tiled matrix, sequentially. Order-
+  // independence of elimination makes the reordering (locals per region,
+  // then crosses) produce exactly the relation of eliminating every
+  // internal flip-flop in index order.
+  const std::size_t nb = closure_.num_blocks();
+  std::vector<std::size_t> region_of(nb);
+  const std::size_t num_regions =
+      region_first_block_.empty() ? 0 : region_first_block_.size() - 1;
+  for (std::size_t r = 0; r < num_regions; ++r) {
+    for (std::size_t b = region_first_block_[r];
+         b < region_first_block_[r + 1]; ++b)
+      region_of[b] = r;
+  }
+  // An endpoint of any inter-region edge is cross. Sweeping tiles (not
+  // entries) keeps this O(nonzero tiles): row indices come from
+  // non-zero S rows, column indices from the OR of the S rows.
+  std::vector<bool> cross(n, false);
+  closure_.for_each_tile([&](std::size_t rb, std::size_t cb,
+                             const TiledDepMatrix::Tile& t) {
+    if (region_of[rb] == region_of[cb]) return;
+    std::uint64_t colmask = 0;
+    for (std::size_t r = 0; r < 64; ++r) {
+      if (t.s[r] == 0) continue;
+      cross[rb * 64 + r] = true;
+      colmask |= t.s[r];
     }
+    while (colmask != 0) {
+      const int c = __builtin_ctzll(colmask);
+      colmask &= colmask - 1;
+      cross[cb * 64 + static_cast<std::size_t>(c)] = true;
+    }
+  });
+  auto bridge_region = [&](std::size_t reg) {
+    const std::size_t b0 = region_first_block_[reg];
+    const std::size_t b1 = region_first_block_[reg + 1];
+    const std::size_t base = b0 * 64;
+    const std::size_t m = std::min(n, b1 * 64) - base;
+    bool any_local = false;
+    for (std::size_t v = base; v < base + m && !any_local; ++v)
+      any_local = internal_[v] && !cross[v];
+    if (!any_local) return;
+    // Lift the region's diagonal block (the only tiles a local
+    // internal's edges can touch) into a dense m-by-m matrix. Regions
+    // are 64-aligned, so tile words copy straight into plane words.
+    const std::size_t wpr = (m + 63) / 64;
+    std::vector<std::uint64_t> s(m * wpr, 0);
+    std::vector<std::uint64_t> p(m * wpr, 0);
+    for (std::size_t rb = b0; rb < b1; ++rb) {
+      const std::size_t rbase = (rb - b0) * 64;
+      const std::size_t rows = std::min<std::size_t>(64, m - rbase);
+      for (std::size_t cb = b0; cb < b1; ++cb) {
+        const TiledDepMatrix::Tile* t = closure_.tile_at(rb, cb);
+        if (t == nullptr) continue;
+        for (std::size_t r = 0; r < rows; ++r) {
+          s[(rbase + r) * wpr + (cb - b0)] = t->s[r];
+          p[(rbase + r) * wpr + (cb - b0)] = t->p[r];
+        }
+      }
+    }
+    DepMatrix local;
+    const bool ok = DepMatrix::from_planes(m, std::move(s), std::move(p),
+                                           &local);
+    assert(ok);
+    (void)ok;
+    for (std::size_t v = base; v < base + m; ++v) {
+      if (internal_[v] && !cross[v]) local.eliminate(v - base);
+    }
+    // Write the bridged diagonal block back tile by tile.
+    const std::vector<std::uint64_t>& ls = local.plane_s();
+    const std::vector<std::uint64_t>& lp = local.plane_p();
+    for (std::size_t rb = b0; rb < b1; ++rb) {
+      const std::size_t rbase = (rb - b0) * 64;
+      const std::size_t rows = std::min<std::size_t>(64, m - rbase);
+      for (std::size_t cb = b0; cb < b1; ++cb) {
+        TiledDepMatrix::Tile t{};
+        for (std::size_t r = 0; r < rows; ++r) {
+          t.s[r] = ls[(rbase + r) * wpr + (cb - b0)];
+          t.p[r] = lp[(rbase + r) * wpr + (cb - b0)];
+        }
+        closure_.assign_tile(rb, cb, t);
+      }
+    }
+  };
+  // Each region touches only its own row blocks, so regions are
+  // parallel-safe — except in spill mode, where fault-in mutates the
+  // matrix-wide eviction state (kernels are sequential there anyway).
+  ThreadPool* pool =
+      options_.spill_backend != nullptr && options_.tile_spill_budget > 0
+          ? nullptr
+          : pool_;
+  if (pool != nullptr) {
+    pool->parallel_for(0, num_regions, bridge_region, /*grain=*/1);
   } else {
-    // Partitioned: an internal flip-flop whose every dependency stays
-    // inside its region can be bridged on a small dense matrix lifted
-    // from the region's diagonal tiles — regions are independent, so
-    // they run in parallel, and the dense eliminate kernel beats the
-    // tiled one on a region-sized matrix. Only internals with at least
-    // one inter-region edge ("cross") must be eliminated on the global
-    // tiled matrix, sequentially. Order-independence of elimination
-    // makes the reordering (locals per region, then crosses) produce
-    // exactly the dense oracle's relation.
-    const std::size_t nb = closure_tiled_.num_blocks();
-    std::vector<std::size_t> region_of(nb);
-    const std::size_t num_regions =
-        region_first_block_.empty() ? 0 : region_first_block_.size() - 1;
-    for (std::size_t r = 0; r < num_regions; ++r) {
-      for (std::size_t b = region_first_block_[r];
-           b < region_first_block_[r + 1]; ++b)
-        region_of[b] = r;
-    }
-    // An endpoint of any inter-region edge is cross. Sweeping tiles (not
-    // entries) keeps this O(nonzero tiles): row indices come from
-    // non-zero S rows, column indices from the OR of the S rows.
-    std::vector<bool> cross(n, false);
-    closure_tiled_.for_each_tile([&](std::size_t rb, std::size_t cb,
-                                     const TiledDepMatrix::Tile& t) {
-      if (region_of[rb] == region_of[cb]) return;
-      std::uint64_t colmask = 0;
-      for (std::size_t r = 0; r < 64; ++r) {
-        if (t.s[r] == 0) continue;
-        cross[rb * 64 + r] = true;
-        colmask |= t.s[r];
-      }
-      while (colmask != 0) {
-        const int c = __builtin_ctzll(colmask);
-        colmask &= colmask - 1;
-        cross[cb * 64 + static_cast<std::size_t>(c)] = true;
-      }
-    });
-    auto bridge_region = [&](std::size_t reg) {
-      const std::size_t b0 = region_first_block_[reg];
-      const std::size_t b1 = region_first_block_[reg + 1];
-      const std::size_t base = b0 * 64;
-      const std::size_t m = std::min(n, b1 * 64) - base;
-      bool any_local = false;
-      for (std::size_t v = base; v < base + m && !any_local; ++v)
-        any_local = internal_[v] && !cross[v];
-      if (!any_local) return;
-      // Lift the region's diagonal block (the only tiles a local
-      // internal's edges can touch) into a dense m-by-m matrix. Regions
-      // are 64-aligned, so tile words copy straight into plane words.
-      const std::size_t wpr = (m + 63) / 64;
-      std::vector<std::uint64_t> s(m * wpr, 0);
-      std::vector<std::uint64_t> p(m * wpr, 0);
-      for (std::size_t rb = b0; rb < b1; ++rb) {
-        const std::size_t rbase = (rb - b0) * 64;
-        const std::size_t rows = std::min<std::size_t>(64, m - rbase);
-        for (std::size_t cb = b0; cb < b1; ++cb) {
-          const TiledDepMatrix::Tile* t = closure_tiled_.tile_at(rb, cb);
-          if (t == nullptr) continue;
-          for (std::size_t r = 0; r < rows; ++r) {
-            s[(rbase + r) * wpr + (cb - b0)] = t->s[r];
-            p[(rbase + r) * wpr + (cb - b0)] = t->p[r];
-          }
-        }
-      }
-      DepMatrix local;
-      const bool ok = DepMatrix::from_planes(m, std::move(s), std::move(p),
-                                             &local);
-      assert(ok);
-      (void)ok;
-      for (std::size_t v = base; v < base + m; ++v) {
-        if (internal_[v] && !cross[v]) local.eliminate(v - base);
-      }
-      // Write the bridged diagonal block back tile by tile.
-      const std::vector<std::uint64_t>& ls = local.plane_s();
-      const std::vector<std::uint64_t>& lp = local.plane_p();
-      for (std::size_t rb = b0; rb < b1; ++rb) {
-        const std::size_t rbase = (rb - b0) * 64;
-        const std::size_t rows = std::min<std::size_t>(64, m - rbase);
-        for (std::size_t cb = b0; cb < b1; ++cb) {
-          TiledDepMatrix::Tile t{};
-          for (std::size_t r = 0; r < rows; ++r) {
-            t.s[r] = ls[(rbase + r) * wpr + (cb - b0)];
-            t.p[r] = lp[(rbase + r) * wpr + (cb - b0)];
-          }
-          closure_tiled_.assign_tile(rb, cb, t);
-        }
-      }
-    };
-    // Each region touches only its own row blocks, so regions are
-    // parallel-safe — except in spill mode, where fault-in mutates the
-    // matrix-wide eviction state (kernels are sequential there anyway).
-    ThreadPool* pool =
-        options_.spill_backend != nullptr && options_.tile_spill_budget > 0
-            ? nullptr
-            : pool_;
-    if (pool != nullptr) {
-      pool->parallel_for(0, num_regions, bridge_region, /*grain=*/1);
-    } else {
-      for (std::size_t reg = 0; reg < num_regions; ++reg) bridge_region(reg);
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      if (internal_[v] && cross[v]) closure_tiled_.eliminate(v);
-    }
+    for (std::size_t reg = 0; reg < num_regions; ++reg) bridge_region(reg);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (internal_[v] && cross[v]) closure_.eliminate(v);
   }
   std::vector<bool> denoted(n, false);
-  if (tiled_) {
-    stats_.deps_after_bridging = closure_tiled_.count_nonzero();
-    closure_tiled_.mark_endpoints(denoted);
-  } else {
-    stats_.deps_after_bridging = closure_.count_nonzero();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j : closure_.successors(i)) {
-        denoted[i] = true;
-        denoted[j] = true;
-      }
-    }
-  }
+  stats_.deps_after_bridging = closure_.count_nonzero();
+  closure_.mark_endpoints(denoted);
   for (bool d : denoted) stats_.denoted_ffs_after += d ? 1u : 0u;
 }
 
@@ -774,28 +686,15 @@ void DependencyAnalyzer::compute_closure() {
   if (options_.max_cycles > 0) {
     // Iterative k-cycle computation ([18]); after bridging the relation
     // contains no internal nodes, so no active mask is needed.
-    if (tiled_) {
-      closure_tiled_.bounded_closure(options_.max_cycles, pool_);
-    } else {
-      closure_.bounded_closure(options_.max_cycles, pool_);
-    }
+    closure_.bounded_closure(options_.max_cycles, pool_);
   } else {
     std::vector<bool> active(ff_nodes_.size());
     for (std::size_t i = 0; i < ff_nodes_.size(); ++i)
       active[i] = !options_.bridge_internal || !internal_[i];
-    if (tiled_) {
-      closure_tiled_.transitive_closure(&active, pool_);
-    } else {
-      closure_.transitive_closure(&active, pool_);
-    }
+    closure_.transitive_closure(&active, pool_);
   }
-  if (tiled_) {
-    stats_.closure_deps = closure_tiled_.count_nonzero();
-    stats_.closure_path_deps = closure_tiled_.count_path();
-  } else {
-    stats_.closure_deps = closure_.count_nonzero();
-    stats_.closure_path_deps = closure_.count_path();
-  }
+  stats_.closure_deps = closure_.count_nonzero();
+  stats_.closure_path_deps = closure_.count_path();
 }
 
 void DependencyAnalyzer::run() {
@@ -868,16 +767,10 @@ const std::vector<CaptureDep>& DependencyAnalyzer::capture_deps(
 DependencyAnalyzer::AnalysisSnapshot DependencyAnalyzer::snapshot() const {
   AnalysisSnapshot snap;
   snap.internal = internal_;
-  snap.tiled = tiled_;
-  if (tiled_) {
-    // The copies fault every spilled tile in and detach from the backend:
-    // a snapshot is self-contained by definition.
-    snap.one_cycle_tiled = one_cycle_tiled_;
-    snap.closure_tiled = closure_tiled_;
-  } else {
-    snap.one_cycle = one_cycle_;
-    snap.closure = closure_;
-  }
+  // The copies fault every spilled tile in and detach from the backend:
+  // a snapshot is self-contained by definition.
+  snap.one_cycle = one_cycle_;
+  snap.closure = closure_;
   snap.capture_deps = capture_deps_;
   snap.stats = stats_;
   return snap;
@@ -890,13 +783,9 @@ bool DependencyAnalyzer::restore(AnalysisSnapshot snap, std::string* error) {
   };
   build_index();
   const std::size_t n = ff_nodes_.size();
-  if (snap.tiled != tiled_)
-    return fail("snapshot matrix representation does not match the analyzer");
   if (snap.internal.size() != n)
     return fail("internal-FF vector does not match the circuit");
-  if (tiled_ ? (snap.one_cycle_tiled.size() != n ||
-                snap.closure_tiled.size() != n)
-             : (snap.one_cycle.size() != n || snap.closure.size() != n))
+  if (snap.one_cycle.size() != n || snap.closure.size() != n)
     return fail("matrix dimension does not match the circuit");
   if (snap.stats.circuit_ffs != n)
     return fail("stats do not match the circuit");
@@ -915,13 +804,8 @@ bool DependencyAnalyzer::restore(AnalysisSnapshot snap, std::string* error) {
     }
   }
   internal_ = std::move(snap.internal);
-  if (tiled_) {
-    one_cycle_tiled_ = std::move(snap.one_cycle_tiled);
-    closure_tiled_ = std::move(snap.closure_tiled);
-  } else {
-    one_cycle_ = std::move(snap.one_cycle);
-    closure_ = std::move(snap.closure);
-  }
+  one_cycle_ = std::move(snap.one_cycle);
+  closure_ = std::move(snap.closure);
   capture_deps_ = std::move(snap.capture_deps);
   // regions was recomputed by build_index above (a pure function of the
   // circuit); the snapshot's copy is the same value, but prefer the live

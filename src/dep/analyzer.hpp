@@ -1,13 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 #include "rsn/rsn.hpp"
 #include "sat/literal.hpp"
-#include "util/dep_matrix.hpp"
 #include "util/rng.hpp"
 #include "util/tiled_matrix.hpp"
 
@@ -28,32 +27,6 @@ enum class DepMode : std::uint8_t {
   StructuralOnly
 };
 
-/// Matrix representation / partitioning strategy of the analysis.
-enum class PartitionMode : std::uint8_t {
-  /// Dense below kAutoPartitionFfs circuit flip-flops, tiled above —
-  /// small repro runs keep the exhaustively-tested dense kernels, large
-  /// runs get the block-sparse memory footprint. Both produce the same
-  /// bits, so the switch is purely a space/time trade.
-  Auto = 0,
-  /// Force the dense whole-design matrices (the oracle configuration).
-  Dense = 1,
-  /// Force the tiled matrices + region-partitioned bridging.
-  Tiled = 2,
-};
-
-/// CLI/report spelling of a PartitionMode (the strings `--partition`
-/// accepts).
-inline const char* partition_name(PartitionMode m) {
-  switch (m) {
-    case PartitionMode::Dense:
-      return "dense";
-    case PartitionMode::Tiled:
-      return "tiled";
-    default:
-      return "auto";
-  }
-}
-
 /// Options of the dependency analysis.
 struct DepOptions {
   DepMode mode = DepMode::Exact;
@@ -64,30 +37,9 @@ struct DepOptions {
   /// Rounds of 256-pattern random simulation per cone before SAT (each
   /// round evaluates a 4x64-bit SIMD pattern block per leaf).
   int sim_rounds = 4;
-  /// After the simulation prefilter, try to *prove* the remaining
-  /// undecided leaves only-structural with the pair-ternary abstract
-  /// evaluator (flow::TernaryEvaluator) before falling back to SAT. A
-  /// proof replaces a query whose answer it already determines, so the
-  /// resulting matrices are bit-identical with the prefilter off; only
-  /// the sat_* / ternary_resolved counters shift. No effect in
-  /// DepMode::StructuralOnly (no queries to remove).
-  bool ternary_prefilter = true;
   /// Per-query SAT conflict limit; on Unknown the dependency is
   /// conservatively classified as functional (sound for security).
   std::uint64_t sat_conflict_limit = 200000;
-  /// Incremental SAT queries inside a cone: verdict caching, Unsat-core
-  /// reuse across leaves, model rotation and periodic solver
-  /// inprocessing (see ConeCheckOptions). Matrices and classification
-  /// counters are identical with this off; with a finite
-  /// sat_conflict_limit the incremental path can only be strictly more
-  /// precise (fewer sat_unknown), never less.
-  bool sat_incremental = true;
-  /// Share learned SAT clauses between isomorphic-modulo-leaf-permutation
-  /// cones (translated through the canonical leaf permutation, see
-  /// dep/clause_share.hpp). Only active in DepMode::Exact with
-  /// sat_incremental and cone_cache on. Affects solver work counters
-  /// only, never verdicts.
-  bool share_clauses = true;
   /// Bound on the number of clock cycles the multi-cycle dependency may
   /// span (0 = unbounded fixpoint, the paper's setting). A bound
   /// under-approximates the attacker (who can wait arbitrarily many
@@ -99,15 +51,9 @@ struct DepOptions {
   /// Seed for the simulation prefilter patterns. Every cone draws its
   /// patterns from a private stream seeded as hash(seed, cone signature),
   /// so the analysis result is bit-identical for any num_threads — and,
-  /// because isomorphic cones share a signature, identical with and
-  /// without the cone cache.
+  /// because isomorphic cones share a signature, one classification
+  /// serves every cone of the same shape (the cone cache).
   std::uint64_t seed = 1;
-  /// Memoize cone classifications by structural signature: replicated
-  /// modules (MBIST arrays, BASTION instruments) produce many isomorphic
-  /// capture/next-state cones, and one sim+SAT classification serves all
-  /// of them. Results (matrices and all stats counters except
-  /// cone_cache_hits) are bit-identical with the cache disabled.
-  bool cone_cache = true;
   /// Worker threads for the cone fan-out and the closure's row blocks.
   /// 0 = auto: the RSNSEC_JOBS environment variable if set, else
   /// std::thread::hardware_concurrency(). Any value yields bit-identical
@@ -120,11 +66,6 @@ struct DepOptions {
   /// bit-identical, so it is excluded from cache keys. The serve
   /// scheduler uses this to share one pool across concurrent requests.
   ThreadPool* pool = nullptr;
-  /// Matrix representation: dense oracle, tiled, or size-based Auto.
-  /// Bit-identical either way (pinned by the partitioned-oracle tests);
-  /// participates in the cache key only because the snapshot payload
-  /// format differs.
-  PartitionMode partition = PartitionMode::Auto;
   /// Resident-byte budget per tiled matrix before tiles spill to
   /// `spill_backend` (0 = keep everything resident). Execution knob:
   /// results and every DepStats counter except the footprint pair
@@ -133,7 +74,7 @@ struct DepOptions {
   std::uint64_t tile_spill_budget = 0;
   /// Out-of-core destination for spilled tiles (not owned; must outlive
   /// the analyzer). Typically a store::ArtifactSpillBackend. Ignored
-  /// unless the effective partition mode is tiled and the budget is > 0.
+  /// unless the budget is > 0.
   TileSpillBackend* spill_backend = nullptr;
 };
 
@@ -149,7 +90,7 @@ struct DepStats {
   std::size_t closure_path_deps = 0;
   std::uint64_t sim_resolved = 0;  ///< functional deps proven by simulation
   /// Only-structural deps proven by the pair-ternary evaluator (each one
-  /// is a SAT query avoided; 0 when DepOptions::ternary_prefilter is off).
+  /// is a SAT query avoided).
   std::uint64_t ternary_resolved = 0;
   std::uint64_t sat_calls = 0;
   std::uint64_t sat_functional = 0;
@@ -157,10 +98,9 @@ struct DepStats {
   /// Queries that exhausted DepOptions::sat_conflict_limit; each is
   /// conservatively classified as a functional (Path) dependency.
   std::uint64_t sat_unknown = 0;
-  /// Cones whose classification was reused from an isomorphic cone (0
-  /// when DepOptions::cone_cache is off). All other counters report the
-  /// logical work — a cache hit replicates the representative's sim/SAT
-  /// counters — so they match a cache-off run bit for bit.
+  /// Cones whose classification was reused from an isomorphic cone. All
+  /// other classification counters report the logical work — a cache hit
+  /// replicates the representative's sim/SAT counters.
   std::uint64_t cone_cache_hits = 0;
   /// Solver work counters. Unlike the classification counters above,
   /// these measure *actual* work: they are aggregated once per
@@ -177,15 +117,13 @@ struct DepStats {
   std::uint64_t cores_reused = 0;        ///< leaves discharged by Unsat cores
   std::uint64_t rotation_witnesses = 0;  ///< leaves discharged by rotation
   std::uint64_t shared_clauses = 0;      ///< clauses imported from iso cones
-  /// Regions of the deterministic partition (0 in dense mode). A pure
-  /// function of the circuit — independent of num_threads — so it is part
-  /// of the logical result and cached in snapshots.
+  /// Regions of the deterministic partition. A pure function of the
+  /// circuit — independent of num_threads — so it is part of the logical
+  /// result and cached in snapshots.
   std::size_t regions = 0;
-  /// Resident heap bytes of the one-cycle + closure matrices (dense plane
-  /// bytes in dense mode). Representation-dependent by design: this is
-  /// the footprint the tiled mode exists to shrink.
+  /// Resident heap bytes of the one-cycle + closure matrices.
   std::uint64_t matrix_bytes = 0;
-  std::uint64_t tiles_nonzero = 0;  ///< denoted 64x64 tiles (0 when dense)
+  std::uint64_t tiles_nonzero = 0;  ///< denoted 64x64 tiles
   std::uint64_t tiles_spilled = 0;  ///< cumulative spill evictions this run
   std::size_t threads_used = 0;  ///< resolved parallelism of the run
   /// Per-phase wall-clock seconds (cone classification incl. the
@@ -226,47 +164,25 @@ class DependencyAnalyzer {
   /// Runs the full analysis pipeline.
   void run();
 
-  /// True if this analysis uses the tiled matrices (explicit
-  /// PartitionMode::Tiled, or Auto at >= kAutoPartitionFfs circuit FFs).
-  /// Decided at construction — it depends only on options and circuit.
-  bool tiled() const { return tiled_; }
-
   /// Multi-cycle circuit-internal dependency closure (after bridging).
   /// Entry (i, j): dependency of circuit FF j on circuit FF i, indices via
-  /// circuit_index(). Dense representation only — throws std::logic_error
-  /// in tiled mode; representation-agnostic callers use closure_at() /
-  /// closure_path_successors().
-  const DepMatrix& circuit_closure() const {
-    if (tiled_) throw std::logic_error("dense closure unavailable: tiled");
-    return closure_;
-  }
+  /// circuit_index().
+  const TiledDepMatrix& circuit_closure() const { return closure_; }
 
   /// 1-cycle circuit relation before bridging (kept for tests/ablation).
-  /// Dense representation only, like circuit_closure().
-  const DepMatrix& one_cycle() const {
-    if (tiled_) throw std::logic_error("dense one-cycle unavailable: tiled");
-    return one_cycle_;
-  }
+  const TiledDepMatrix& one_cycle() const { return one_cycle_; }
 
-  /// Tiled counterparts (valid only in tiled mode).
-  const TiledDepMatrix& circuit_closure_tiled() const {
-    if (!tiled_) throw std::logic_error("tiled closure unavailable: dense");
-    return closure_tiled_;
-  }
-  const TiledDepMatrix& one_cycle_tiled() const {
-    if (!tiled_) throw std::logic_error("tiled one-cycle unavailable: dense");
-    return one_cycle_tiled_;
-  }
-
-  /// Closure entry (i, j) by dense index, representation-agnostic.
+  /// Closure entry (i, j) by dense index.
   DepKind closure_at(std::size_t i, std::size_t j) const {
-    return tiled_ ? closure_tiled_.get(i, j) : closure_.get(i, j);
+    return closure_.get(i, j);
   }
 
   /// Dense indices j with a Path closure dependency of FF j on FF i,
-  /// ascending; representation-agnostic (the hybrid security engine's
-  /// access path, so it never materializes a dense matrix at scale).
-  std::vector<std::size_t> closure_path_successors(std::size_t i) const;
+  /// ascending (the hybrid security engine's access path, so it never
+  /// materializes a dense matrix at scale).
+  std::vector<std::size_t> closure_path_successors(std::size_t i) const {
+    return closure_.path_successors(i);
+  }
 
   /// Dense index of a circuit flip-flop node.
   std::size_t circuit_index(netlist::NodeId ff) const {
@@ -307,15 +223,8 @@ class DependencyAnalyzer {
   /// circuit and recomputed on restore.
   struct AnalysisSnapshot {
     std::vector<bool> internal;
-    /// Exactly one representation is populated, selected by `tiled` (the
-    /// snapshot preserves the producing run's representation; restore()
-    /// rejects a representation mismatch rather than converting, since
-    /// the mismatch means the cache key discipline broke).
-    bool tiled = false;
-    DepMatrix one_cycle;
-    DepMatrix closure;
-    TiledDepMatrix one_cycle_tiled;
-    TiledDepMatrix closure_tiled;
+    TiledDepMatrix one_cycle;
+    TiledDepMatrix closure;
     std::vector<std::vector<std::vector<CaptureDep>>> capture_deps;
     DepStats stats;
   };
@@ -341,14 +250,9 @@ class DependencyAnalyzer {
   std::vector<netlist::NodeId> ff_nodes_;
   std::vector<std::size_t> ff_index_;  // NodeId -> dense index
   std::vector<bool> internal_;
-  /// Representation flag + both matrix pairs; only the pair selected by
-  /// tiled_ is ever populated (the other stays at dimension 0).
-  bool tiled_ = false;
-  DepMatrix one_cycle_;
-  DepMatrix closure_;
-  TiledDepMatrix one_cycle_tiled_;
-  TiledDepMatrix closure_tiled_;
-  /// Deterministic region partition (tiled mode): region r covers dense
+  TiledDepMatrix one_cycle_;
+  TiledDepMatrix closure_;
+  /// Deterministic region partition: region r covers dense
   /// indices [region_first_block_[r] * 64, region_first_block_[r+1] * 64);
   /// the last entry is the sentinel num_blocks. 64-aligned so a region's
   /// intra-region dependencies live entirely in diagonal-block tiles.
@@ -384,11 +288,11 @@ class DependencyAnalyzer {
 
   void build_index();
   /// Splits the dense index range into contiguous, 64-aligned regions
-  /// along module boundaries (tiled mode). Pure function of the circuit —
+  /// along module boundaries. Pure function of the circuit —
   /// independent of num_threads — so partitioned results are reproducible.
   void partition_regions();
-  /// Recomputes the representation-dependent footprint stats (regions,
-  /// matrix_bytes, tiles_nonzero, tiles_spilled) from the live matrices.
+  /// Recomputes the footprint stats (matrix_bytes, tiles_nonzero,
+  /// tiles_spilled) from the live matrices.
   void refresh_matrix_stats();
   void extract_capture_cones();
   void classify_internal();

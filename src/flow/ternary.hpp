@@ -53,8 +53,8 @@ constexpr bool pair_proves_equal(PairSet v) {
 /// set contains only equal pairs, *no* assignment of the other leaves
 /// lets the tested leaf's value propagate — exactly what an UNSAT answer
 /// of netlist::ConeDependenceChecker certifies — so a proof here can
-/// replace a SAT query without changing any result (DepMode::Exact
-/// matrices stay bit-identical; see DepOptions::ternary_prefilter).
+/// replace a SAT query without changing any result (the dependency
+/// analysis runs it as a prefilter in DepMode::Exact).
 /// Failure to prove carries no information: the query falls through to
 /// simulation/SAT.
 class TernaryEvaluator {

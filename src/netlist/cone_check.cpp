@@ -11,11 +11,19 @@ namespace rsnsec::netlist {
 using sat::Lit;
 using sat::mk_lit;
 
+namespace {
+
+/// Solver solve() calls between bounded inprocess() rounds on the cone
+/// CNF.
+constexpr std::uint64_t kInprocessInterval = 64;
+
+}  // namespace
+
 ConeDependenceChecker::ConeDependenceChecker(const Netlist& nl,
                                              const Cone& cone,
-                                             const ConeCheckOptions& options)
-    : nl_(nl), cone_(cone), opts_(options) {
-  solver_.set_conflict_limit(opts_.conflict_limit);
+                                             std::uint64_t conflict_limit)
+    : nl_(nl), cone_(cone) {
+  solver_.set_conflict_limit(conflict_limit);
   // Literals for the leaves of both copies. The variable layout is part
   // of the clause-sharing contract: leaf i owns the triple
   // (3i = a, 3i+1 = b, 3i+2 = eq); gate and diff variables follow and
@@ -122,12 +130,11 @@ sat::Result ConeDependenceChecker::query(std::size_t leaf_idx) {
     trace->histogram("cone.leaves_per_query")
         .record(cone_.leaves.size());
   }
-  if (opts_.incremental && verdict_[leaf_idx] != 0) {
+  if (verdict_[leaf_idx] != 0) {
     return verdict_[leaf_idx] == 1 ? sat::Result::Sat : sat::Result::Unsat;
   }
 
-  if (opts_.incremental && opts_.inprocess_interval != 0 &&
-      solver_solves_ - last_inprocess_solves_ >= opts_.inprocess_interval) {
+  if (solver_solves_ - last_inprocess_solves_ >= kInprocessInterval) {
     solver_.inprocess();
     last_inprocess_solves_ = solver_solves_;
   }
@@ -148,7 +155,6 @@ sat::Result ConeDependenceChecker::query(std::size_t leaf_idx) {
 
   sat::Result r = solver_.solve(assumptions);
   ++solver_solves_;
-  if (!opts_.incremental) return r;
   if (r == sat::Result::Sat) {
     verdict_[leaf_idx] = 1;
     rotate_model();

@@ -8,26 +8,6 @@
 
 namespace rsnsec::netlist {
 
-/// Tuning knobs for ConeDependenceChecker.
-struct ConeCheckOptions {
-  /// Per-query SAT conflict budget (0 = unlimited); an exceeded budget
-  /// makes query() return sat::Result::Unknown.
-  std::uint64_t conflict_limit = 0;
-
-  /// Enables the incremental query machinery: verdict caching, Unsat-core
-  /// reuse across leaves, model rotation (a Sat model is perturbed one
-  /// leaf at a time to witness other dependencies for free) and periodic
-  /// solver inprocessing. Verdicts are identical to the non-incremental
-  /// path except that with a finite conflict_limit the incremental path
-  /// can be strictly more precise (a leaf another query already decided
-  /// cannot come back Unknown).
-  bool incremental = true;
-
-  /// Solver solve() calls between bounded inprocess() rounds on the cone
-  /// CNF (0 = never). Only active when `incremental` is set.
-  std::size_t inprocess_interval = 64;
-};
-
 /// SAT-based exact functional-dependence check for one combinational cone
 /// (the method of [18], Sec. III-A of the paper).
 ///
@@ -50,21 +30,19 @@ struct ConeCheckOptions {
 /// without any solver call. An Unsat answer yields an assumption core; when the core
 /// avoids the flipped leaf's literals, every other leaf whose eq selector
 /// is outside the core is Unsat by the same proof and is discharged
-/// without a solve.
+/// without a solve. Every kInprocessInterval solves, the solver runs a
+/// bounded inprocessing round on the cone CNF. Verdicts equal those of a
+/// fresh checker per leaf, except that with a finite conflict limit a leaf
+/// another query already decided cannot come back Unknown.
 class ConeDependenceChecker {
  public:
   /// Builds the two-copy CNF for `cone` of netlist `nl`. The cone must
   /// have been produced by Netlist::extract_signal_cone or
-  /// Netlist::extract_next_state_cone.
+  /// Netlist::extract_next_state_cone. `conflict_limit` is the per-query
+  /// SAT conflict budget (0 = unlimited); an exceeded budget makes
+  /// query() return sat::Result::Unknown.
   ConeDependenceChecker(const Netlist& nl, const Cone& cone,
-                        const ConeCheckOptions& options);
-
-  /// Back-compat convenience: default options with the given per-query
-  /// conflict limit.
-  ConeDependenceChecker(const Netlist& nl, const Cone& cone,
-                        std::uint64_t conflict_limit = 0)
-      : ConeDependenceChecker(nl, cone,
-                              ConeCheckOptions{conflict_limit, true, 64}) {}
+                        std::uint64_t conflict_limit = 0);
 
   /// Exact query for cone.leaves[leaf_idx]: Sat means the root
   /// functionally depends on the leaf, Unsat means the connection is
@@ -81,8 +59,8 @@ class ConeDependenceChecker {
   }
 
   /// Number of logical SAT queries so far. Cached verdicts (from core
-  /// reuse or model rotation) still count: the number is identical to the
-  /// non-incremental path's and measures classification work, not solver
+  /// reuse or model rotation) still count: the number is one per queried
+  /// non-constant leaf and measures classification work, not solver
   /// invocations (see solver_solves()).
   std::uint64_t sat_calls() const { return sat_calls_; }
 
@@ -118,7 +96,6 @@ class ConeDependenceChecker {
  private:
   const Netlist& nl_;
   const Cone& cone_;
-  ConeCheckOptions opts_;
   sat::Solver solver_;
   std::vector<sat::Lit> a_leaf_, b_leaf_, eq_sel_;
   std::vector<bool> leaf_is_const_;

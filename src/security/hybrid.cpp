@@ -1,12 +1,11 @@
 #include "security/hybrid.hpp"
 
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "security/resolve_loop.hpp"
 #include "security/violation_index.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rsnsec::security {
 
@@ -95,9 +94,8 @@ void HybridAnalyzer::build_static_edges(const Rsn& layout) {
 
   // Multi-cycle circuit closure: one edge per path-dependent pair. The
   // closure is transitively closed, so a single hop covers any number of
-  // functional clock cycles. Representation-agnostic access keeps this
-  // working at scales where the closure is tiled and a dense matrix is
-  // never materialized.
+  // functional clock cycles. Reading path successors straight off the
+  // tiled closure never materializes a dense matrix.
   for (std::size_t i = 0; i < deps_.num_circuit_ffs(); ++i) {
     if (deps_.is_internal(i)) continue;
     for (std::size_t j : deps_.closure_path_successors(i)) {
@@ -325,122 +323,37 @@ HybridStats HybridAnalyzer::detect_and_resolve(
     Rsn& network, std::vector<AppliedChange>* log,
     ResolutionPolicy policy, const ChangeCallback& on_change,
     const ResolveOptions& resolve_options) {
-  obs::TraceSession* trace = obs::TraceSession::active();
-  obs::Span resolve_span(trace, "hybrid.resolve");
-  HybridStats stats;
-
-  const bool incremental = resolve_options.incremental;
-  std::optional<HybridViolationIndex> index;
-  // ResolveOptions::pool (shared, serve scheduler) wins over a private
-  // per-resolve pool sized by num_threads.
-  ThreadPool* pool = resolve_options.pool;
-  std::optional<ThreadPool> owned_pool;
-  if (incremental) {
-    index.emplace(*this, network);
-    if (pool == nullptr) {
-      owned_pool.emplace(
-          ThreadPool::resolve_num_threads(resolve_options.num_threads));
-      pool = &*owned_pool;
-    }
-    stats.initial_violating_registers = index->violating_registers();
-    stats.initial_violating_pairs = index->pairs();
-  } else {
-    stats.initial_violating_registers = count_violating_registers(network);
-    stats.initial_violating_pairs = count_violating_pairs(network);
-  }
-  // Applying a cut re-runs the deterministic cut_connection on the real
-  // network, so the selected trial's residual count IS the new current
-  // count; only the fallback isolation needs a recount. (Previously every
-  // iteration recounted from scratch on top of find_violation's own
-  // propagation.)
-  std::size_t cur_pairs = stats.initial_violating_pairs;
-
-  std::size_t max_iters = 8 * network.registers().size() + 64;
-  std::size_t iter = 0;
-  for (;;) {
-    std::optional<Violation> v =
-        incremental ? index->find_violation() : find_violation(network);
-    if (!v) break;
-    if (++iter > max_iters)
-      throw std::runtime_error(
-          "hybrid resolution did not converge (iteration cap exceeded)");
-    if (trace != nullptr)
-      trace->counter("resolve.hybrid_iterations").add(1);
-    if (v->rsn_connections.empty())
-      throw std::runtime_error(
-          "hybrid violation without RSN connection on its path; "
-          "run check_static() before resolution");
-
-    // Each cut is evaluated with both reconnection variants ([17]-style
-    // candidate generation); the policy decides how exhaustively.
-    Rewirer::Selection sel;
-    if (incremental) {
-      sel = Rewirer::select_cut_parallel(
-          network, v->rsn_connections,
-          [&index]() -> Rewirer::TrialCounter {
-            auto scratch = std::make_shared<HybridViolationIndex::Scratch>();
-            return [&index, scratch](const Rsn& n) {
-              return index->eval_trial(n, *scratch);
-            };
-          },
-          cur_pairs, policy, *pool);
-    } else {
-      sel = Rewirer::select_cut(
-          network, v->rsn_connections,
-          [this](const Rsn& n) { return count_violating_pairs(n); },
-          cur_pairs, policy);
-    }
-
-    AppliedChange change;
-    if (sel.found) {
-      change.kind = AppliedChange::Kind::CutConnection;
-      change.cut = sel.cut;
-      change.rewire_operations =
-          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
-      change.note = "hybrid: cut " + network.elem(sel.cut.from).name +
-                    " -> " + network.elem(sel.cut.to).name;
-      cur_pairs = sel.residual_pairs;
-      if (incremental) index->commit(network);
-    } else {
+  static constexpr detail::StageLabels kLabels{
+      "hybrid.resolve", "resolve.hybrid_iterations", "hybrid"};
+  return detail::resolve_loop<HybridViolationIndex>(
+      kLabels, *this, network, log, policy, on_change, resolve_options,
+      // Candidate cuts: the RSN connections the witnessing path crosses.
+      [](const Violation& v, const Rsn&) {
+        if (v.rsn_connections.empty())
+          throw std::runtime_error(
+              "hybrid violation without RSN connection on its path; "
+              "run check_static() before resolution");
+        return v.rsn_connections;
+      },
       // Isolate the source register of the last RSN hop on the path.
-      ElemId iso = v->rsn_connections.front().from;
-      // rsn_connections were collected walking seed -> victim, so the
-      // last chain's first element is the register driving the final
-      // inter-segment hop; fall back to any register endpoint.
-      for (auto it = v->rsn_connections.rbegin();
-           it != v->rsn_connections.rend(); ++it) {
-        if (network.elem(it->from).kind == ElemKind::Register) {
-          iso = it->from;
-          break;
+      [](const Violation& v, const Rsn& net) {
+        // rsn_connections were collected walking seed -> victim, so the
+        // last chain's first element is the register driving the final
+        // inter-segment hop; fall back to any register endpoint.
+        ElemId iso = v.rsn_connections.front().from;
+        for (auto it = v.rsn_connections.rbegin();
+             it != v.rsn_connections.rend(); ++it) {
+          if (net.elem(it->from).kind == ElemKind::Register) {
+            iso = it->from;
+            break;
+          }
         }
-      }
-      if (network.elem(iso).kind != ElemKind::Register) {
-        throw std::runtime_error(
-            "hybrid resolution fallback found no register to isolate");
-      }
-      change.kind = AppliedChange::Kind::IsolateRegister;
-      change.isolated = iso;
-      change.rewire_operations =
-          Rewirer::isolate_register_output(network, iso);
-      change.note = "hybrid: isolate " + network.elem(iso).name;
-      ++stats.fallback_isolations;
-      if (incremental) {
-        index->commit(network);
-        cur_pairs = index->pairs();
-      } else {
-        cur_pairs = count_violating_pairs(network);
-      }
-    }
-    ++stats.applied_changes;
-    stats.rewire_operations += change.rewire_operations;
-    if (trace != nullptr) {
-      trace->counter("rewire.changes_applied").add(1);
-      trace->counter("rewire.operations").add(change.rewire_operations);
-    }
-    if (on_change) on_change(network, change);
-    if (log) log->push_back(std::move(change));
-  }
-  return stats;
+        if (net.elem(iso).kind != ElemKind::Register) {
+          throw std::runtime_error(
+              "hybrid resolution fallback found no register to isolate");
+        }
+        return iso;
+      });
 }
 
 }  // namespace rsnsec::security

@@ -34,13 +34,7 @@ struct StaticReport {
 };
 
 /// Statistics of one hybrid detect-and-resolve run.
-struct HybridStats {
-  std::size_t initial_violating_registers = 0;
-  std::size_t initial_violating_pairs = 0;
-  int applied_changes = 0;  ///< Table I "hybrid" changes column
-  int rewire_operations = 0;
-  int fallback_isolations = 0;
-};
+using HybridStats = ResolveStats;
 
 /// Detection and resolution of security violations over *hybrid* scan
 /// paths — paths through both the RSN and the underlying circuit logic
@@ -56,8 +50,9 @@ struct HybridStats {
 /// once ... without RSN-internal connections", Sec. III-A). Tokens
 /// propagate only over path-dependent edges; only-structural connections
 /// cannot transport data (Fig. 5's XOR reconvergence). Propagation is
-/// cyclic ("omnidirectional", Sec. III-D) and runs to a fixed point,
-/// recomputed from scratch after every applied change.
+/// cyclic ("omnidirectional", Sec. III-D) and runs to a fixed point;
+/// during resolution a HybridViolationIndex maintains that fixed point
+/// under the applied changes.
 class HybridAnalyzer {
  public:
   HybridAnalyzer(const netlist::Netlist& nl,
@@ -111,12 +106,11 @@ class HybridAnalyzer {
   /// be clean. Modifies `network`; appends changes to `log`; invokes
   /// `on_change` after every applied change (see ChangeCallback).
   ///
-  /// By default (ResolveOptions::incremental) violation state is kept in
-  /// a HybridViolationIndex and maintained under deltas, with candidate
-  /// cuts trial-evaluated in parallel; with incremental off every query
-  /// recomputes the fixpoint from scratch (the oracle the incremental
-  /// path is tested against). Both paths — at any thread count — produce
-  /// bit-identical change logs, stats and final networks.
+  /// Violation state is kept in a HybridViolationIndex and maintained
+  /// under deltas, with candidate cuts trial-evaluated in parallel; the
+  /// change log, stats and final network are bit-identical to
+  /// recomputing the fixpoint from scratch every iteration, at any
+  /// thread count.
   HybridStats detect_and_resolve(
       rsn::Rsn& network, std::vector<AppliedChange>* log = nullptr,
       ResolutionPolicy policy = ResolutionPolicy::BestGlobal,

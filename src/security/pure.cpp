@@ -1,13 +1,9 @@
 #include "security/pure.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <memory>
-#include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "security/resolve_loop.hpp"
 #include "security/violation_index.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rsnsec::security {
 
@@ -153,118 +149,32 @@ PureStats PureScanAnalyzer::detect_and_resolve(
     Rsn& network, std::vector<AppliedChange>* log,
     ResolutionPolicy policy, const ChangeCallback& on_change,
     const ResolveOptions& resolve_options) {
-  obs::TraceSession* trace = obs::TraceSession::active();
-  obs::Span resolve_span(trace, "pure.resolve");
-  PureStats stats;
-
-  const bool incremental = resolve_options.incremental;
-  std::optional<PureViolationIndex> index;
-  // ResolveOptions::pool (shared, serve scheduler) wins over a private
-  // per-resolve pool sized by num_threads.
-  ThreadPool* pool = resolve_options.pool;
-  std::optional<ThreadPool> owned_pool;
-  if (incremental) {
-    index.emplace(*this, network);
-    if (pool == nullptr) {
-      owned_pool.emplace(
-          ThreadPool::resolve_num_threads(resolve_options.num_threads));
-      pool = &*owned_pool;
-    }
-    stats.initial_violating_registers = index->violating_registers();
-    stats.initial_violating_pairs = index->pairs();
-  } else {
-    stats.initial_violating_registers = count_violating_registers(network);
-    stats.initial_violating_pairs = count_violating_pairs(network);
-  }
-  // Applying a cut re-runs the deterministic cut_connection on the real
-  // network, so the selected trial's residual count IS the new current
-  // count; only the fallback isolation needs a recount. (Previously every
-  // iteration recounted from scratch on top of find_violation's own
-  // propagation.)
-  std::size_t cur_pairs = stats.initial_violating_pairs;
-
-  std::size_t max_iters = 8 * network.registers().size() + 64;
-  std::size_t iter = 0;
-  for (;;) {
-    std::optional<PureViolation> v =
-        incremental ? index->find_violation() : find_violation(network);
-    if (!v) break;
-    if (++iter > max_iters)
-      throw std::runtime_error(
-          "pure resolution did not converge (iteration cap exceeded)");
-    if (trace != nullptr) trace->counter("resolve.pure_iterations").add(1);
-
-    // Candidate cuts: every connection along the witnessing path.
-    std::vector<Connection> candidates;
-    for (std::size_t i = 0; i + 1 < v->path.size(); ++i) {
-      const rsn::Element& to = network.elem(v->path[i + 1]);
-      for (std::size_t p = 0; p < to.inputs.size(); ++p) {
-        if (to.inputs[p] == v->path[i])
-          candidates.push_back({v->path[i], v->path[i + 1], p});
-      }
-    }
-
-    // Each cut is evaluated with both reconnection variants ([17]-style
-    // candidate generation); the policy decides how exhaustively.
-    Rewirer::Selection sel;
-    if (incremental) {
-      sel = Rewirer::select_cut_parallel(
-          network, candidates,
-          [&index]() -> Rewirer::TrialCounter {
-            auto scratch = std::make_shared<PureViolationIndex::Scratch>();
-            return [&index, scratch](const Rsn& n) {
-              return index->eval_trial(n, *scratch);
-            };
-          },
-          cur_pairs, policy, *pool);
-    } else {
-      sel = Rewirer::select_cut(
-          network, candidates,
-          [this](const Rsn& n) { return count_violating_pairs(n); },
-          cur_pairs, policy);
-    }
-
-    AppliedChange change;
-    if (sel.found) {
-      change.kind = AppliedChange::Kind::CutConnection;
-      change.cut = sel.cut;
-      change.rewire_operations =
-          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
-      change.note = "pure: cut " + network.elem(sel.cut.from).name + " -> " +
-                    network.elem(sel.cut.to).name;
-      cur_pairs = sel.residual_pairs;
-      if (incremental) index->commit(network);
-    } else {
-      // Guaranteed-progress fallback: isolate the last register on the
-      // path before the victim (or the origin itself).
-      ElemId iso = v->origin;
-      for (std::size_t i = 0; i + 1 < v->path.size(); ++i) {
-        if (network.elem(v->path[i]).kind == ElemKind::Register)
-          iso = v->path[i];
-      }
-      change.kind = AppliedChange::Kind::IsolateRegister;
-      change.isolated = iso;
-      change.rewire_operations =
-          Rewirer::isolate_register_output(network, iso);
-      change.note = "pure: isolate " + network.elem(iso).name;
-      ++stats.fallback_isolations;
-      if (incremental) {
-        index->commit(network);
-        cur_pairs = index->pairs();
-      } else {
-        cur_pairs = count_violating_pairs(network);
-      }
-    }
-    ++stats.applied_changes;
-    stats.rewire_operations += change.rewire_operations;
-    if (trace != nullptr) {
-      trace->counter("rewire.changes_applied").add(1);
-      trace->counter("rewire.operations").add(change.rewire_operations);
-    }
-    if (on_change) on_change(network, change);
-    if (log) log->push_back(std::move(change));
-  }
-  return stats;
+  static constexpr detail::StageLabels kLabels{
+      "pure.resolve", "resolve.pure_iterations", "pure"};
+  return detail::resolve_loop<PureViolationIndex>(
+      kLabels, *this, network, log, policy, on_change, resolve_options,
+      // Candidate cuts: every connection along the witnessing path.
+      [](const PureViolation& v, const Rsn& net) {
+        std::vector<Connection> candidates;
+        for (std::size_t i = 0; i + 1 < v.path.size(); ++i) {
+          const rsn::Element& to = net.elem(v.path[i + 1]);
+          for (std::size_t p = 0; p < to.inputs.size(); ++p) {
+            if (to.inputs[p] == v.path[i])
+              candidates.push_back({v.path[i], v.path[i + 1], p});
+          }
+        }
+        return candidates;
+      },
+      // Isolate the last register on the path before the victim (or the
+      // origin itself).
+      [](const PureViolation& v, const Rsn& net) {
+        ElemId iso = v.origin;
+        for (std::size_t i = 0; i + 1 < v.path.size(); ++i) {
+          if (net.elem(v.path[i]).kind == ElemKind::Register)
+            iso = v.path[i];
+        }
+        return iso;
+      });
 }
 
 }  // namespace rsnsec::security

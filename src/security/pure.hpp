@@ -23,13 +23,7 @@ struct PureViolation {
 };
 
 /// Statistics of one pure-path detect-and-resolve run.
-struct PureStats {
-  std::size_t initial_violating_registers = 0;  ///< Table I col. 5 input
-  std::size_t initial_violating_pairs = 0;
-  int applied_changes = 0;  ///< Table I "pure" changes column
-  int rewire_operations = 0;
-  int fallback_isolations = 0;
-};
+using PureStats = ResolveStats;
 
 /// Detection and resolution of security violations over *pure* scan paths
 /// (reimplementation of [17], which the paper applies first — Fig. 2).
@@ -62,10 +56,11 @@ class PureScanAnalyzer {
   /// applied changes to `log`; invokes `on_change` after every applied
   /// change (see ChangeCallback). Returns run statistics.
   ///
-  /// ResolveOptions selects between the incremental engine (delta
-  /// queries against a PureViolationIndex, parallel candidate trials)
-  /// and the from-scratch oracle path; both produce bit-identical change
-  /// logs, stats and final networks.
+  /// Violation state is kept in a PureViolationIndex and maintained
+  /// under deltas, with candidate cuts trial-evaluated in parallel; the
+  /// change log, stats and final network are bit-identical to
+  /// recomputing find_violation / count_violating_pairs from scratch
+  /// every iteration, at any thread count.
   PureStats detect_and_resolve(
       rsn::Rsn& network, std::vector<AppliedChange>* log = nullptr,
       ResolutionPolicy policy = ResolutionPolicy::BestGlobal,

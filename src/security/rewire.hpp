@@ -31,14 +31,8 @@ enum class ResolutionPolicy : std::uint8_t {
 
 /// Execution options of the detect-and-resolve loops (pure and hybrid).
 struct ResolveOptions {
-  /// Maintain violation state in a ViolationIndex and evaluate candidate
-  /// cuts as deltas against it (parallel across candidates). When false,
-  /// every query recomputes reachability from scratch — the oracle path
-  /// (`--no-incremental`). Both paths produce bit-identical change logs,
-  /// stats and final networks.
-  bool incremental = true;
-  /// Worker threads for candidate trial evaluation (incremental path
-  /// only). 0 = auto: RSNSEC_JOBS if set, else hardware concurrency.
+  /// Worker threads for candidate trial evaluation. 0 = auto:
+  /// RSNSEC_JOBS if set, else hardware concurrency.
   /// Any value yields bit-identical results (in-order selection).
   /// Ignored when `pool` is set.
   std::size_t num_threads = 0;
@@ -50,6 +44,15 @@ struct ResolveOptions {
   /// ThreadPool's loops are caller-participating and independent batches
   /// from different requests interleave without blocking each other.
   ThreadPool* pool = nullptr;
+};
+
+/// Statistics of one detect-and-resolve run (pure or hybrid stage).
+struct ResolveStats {
+  std::size_t initial_violating_registers = 0;  ///< Table I col. 5 input
+  std::size_t initial_violating_pairs = 0;
+  int applied_changes = 0;  ///< Table I "pure" / "hybrid" changes column
+  int rewire_operations = 0;
+  int fallback_isolations = 0;
 };
 
 /// One concrete RSN connection (driver `from` feeding input `port` of
@@ -131,15 +134,6 @@ class Rewirer {
     int operations = 0;
   };
 
-  /// Trial-evaluates cutting each candidate (with both reconnection
-  /// variants) against `count_pairs` and selects per `policy`. Only
-  /// candidates that strictly reduce the violating-pair count below
-  /// `current_pairs` qualify.
-  static Selection select_cut(
-      const rsn::Rsn& network, const std::vector<Connection>& candidates,
-      const std::function<std::size_t(const rsn::Rsn&)>& count_pairs,
-      std::size_t current_pairs, ResolutionPolicy policy);
-
   /// Counts the violating pairs of one trial network. Instances returned
   /// by a TrialCounterFactory may carry per-chunk scratch state; each
   /// instance is used by one thread at a time.
@@ -148,11 +142,14 @@ class Rewirer {
   /// counter is reused for every trial of that chunk (scratch reuse).
   using TrialCounterFactory = std::function<TrialCounter()>;
 
-  /// Parallel variant of select_cut: every (cut, reconnect) candidate is
-  /// trial-evaluated concurrently on `pool`, then the selection scans the
-  /// results in the same nested (candidate, hint) order as the sequential
-  /// loop — so for every policy the returned Selection is identical to
-  /// select_cut's. (FirstImproving/PreferScanIn evaluate trials past the
+  /// Trial-evaluates cutting each candidate (with both reconnection
+  /// variants, except where cut_is_hint_insensitive) and selects per
+  /// `policy`. Only candidates that strictly reduce the violating-pair
+  /// count below `current_pairs` qualify. Every (cut, reconnect) trial is
+  /// evaluated concurrently on `pool`; the selection then scans the
+  /// results in nested (candidate, hint) order, exactly as a sequential
+  /// first-to-last loop would — so the Selection is identical for any
+  /// thread count. (FirstImproving/PreferScanIn evaluate trials past the
   /// one selected; only side-effect-free counters may observe that.)
   static Selection select_cut_parallel(
       const rsn::Rsn& network, const std::vector<Connection>& candidates,

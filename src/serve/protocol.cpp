@@ -165,6 +165,12 @@ ParseOutcome parse_request(std::string_view line) {
         !bool_option("no_ternary", req.no_ternary) ||
         !bool_option("verify", req.verify))
       return fail(ServeCode::BadField, error);
+    // Only the certifier has a ternary switch (it changes certify's
+    // results); the dependency analysis always runs its ternary prefilter.
+    if (req.no_ternary && (req.command == Command::Analyze ||
+                           req.command == Command::Secure))
+      return fail(ServeCode::BadField,
+                  "option 'no_ternary' applies only to certify");
   }
 
   ParseOutcome o;

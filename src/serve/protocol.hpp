@@ -74,7 +74,9 @@ struct Request {
   std::string benchmark;
   std::uint64_t seed = 1;
 
-  /// Analysis options (subset of the CLI's flags).
+  /// Analysis options (subset of the CLI's flags). no_ternary is valid
+  /// for certify only; analyze / secure requests carrying it are
+  /// rejected with BadField.
   bool structural = false;
   bool no_ternary = false;
   bool verify = false;

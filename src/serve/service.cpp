@@ -119,7 +119,6 @@ ExecResult run_analyze(const Request& req, Workload& w, ThreadPool& pool,
                        store::ArtifactStore* store) {
   dep::DepOptions dopt;
   if (req.structural) dopt.mode = dep::DepMode::StructuralOnly;
-  dopt.ternary_prefilter = !req.no_ternary;
   dopt.pool = &pool;
   dep::DependencyAnalyzer deps(w.circuit, w.doc.network, dopt);
   ExecResult r;
@@ -138,9 +137,6 @@ ExecResult run_analyze(const Request& req, Workload& w, ThreadPool& pool,
   rep.hybrid_violating_pairs = hybrid.count_violating_pairs(w.doc.network);
   rep.violating_registers = hybrid.count_violating_registers(w.doc.network);
   rep.dep_mode = deps.options().mode;
-  rep.dep_ternary_prefilter = deps.options().ternary_prefilter;
-  rep.dep_partition = deps.options().partition;
-  rep.dep_tiled = deps.tiled();
   rep.dep_stats = deps.stats();
 
   std::ostringstream os;
@@ -153,7 +149,6 @@ ExecResult run_secure(const Request& req, Workload& w, ThreadPool& pool,
                       store::ArtifactStore* store) {
   PipelineOptions popt;
   if (req.structural) popt.dep.mode = dep::DepMode::StructuralOnly;
-  popt.dep.ternary_prefilter = !req.no_ternary;
   popt.dep.pool = &pool;
   popt.resolve.pool = &pool;
   popt.store = store;

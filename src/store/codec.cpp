@@ -13,6 +13,16 @@ constexpr std::uint64_t kMaxLength = 1ull << 32;
 
 [[noreturn]] void fail(const char* msg) { throw CodecError(msg); }
 
+/// Rejects a count that sizes an allocation before its elements are
+/// read: every element costs at least `min_bytes` of the remaining
+/// input, so a larger count is malformed. This keeps a decoder's peak
+/// allocation proportional to its input however the count bytes are
+/// corrupted.
+void check_count(const ByteReader& r, std::uint64_t count,
+                 std::uint64_t min_bytes, const char* msg) {
+  if (count > kMaxLength || count > r.remaining() / min_bytes) fail(msg);
+}
+
 }  // namespace
 
 // --------------------------------------------------------------- writer
@@ -297,7 +307,7 @@ netlist::Netlist decode_netlist(ByteReader& r) {
     netlist::ModuleId module = check_module(r.zigzag());
     std::string name = r.str();
     std::uint64_t nf = r.varint();
-    if (nf > kMaxLength) fail("fanin count out of range");
+    check_count(r, nf, 1, "fanin count out of range");
     std::vector<netlist::NodeId> fanins;
     fanins.reserve(static_cast<std::size_t>(nf));
     for (std::uint64_t f = 0; f < nf; ++f)
@@ -359,7 +369,7 @@ void encode_rsn(ByteWriter& w, const rsn::Rsn& network) {
 rsn::Rsn decode_rsn(ByteReader& r) {
   std::string name = r.str();
   std::uint64_t num_elems = r.varint();
-  if (num_elems > kMaxLength) fail("element count out of range");
+  check_count(r, num_elems, 1, "element count out of range");
   if (num_elems < 2) fail("network without scan ports");
   rsn::Rsn network(std::move(name));
 
@@ -385,7 +395,8 @@ rsn::Rsn decode_rsn(ByteReader& r) {
     for (std::uint64_t p = 0; p < n_inputs; ++p)
       pe.inputs.push_back(check_elem(r.varint()));
     std::uint64_t n_ffs = r.varint();
-    if (n_ffs > kMaxLength) fail("scan FF count out of range");
+    // Each scan FF is two varints (capture source, update target).
+    check_count(r, n_ffs, 2, "scan FF count out of range");
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ffs;
     ffs.reserve(static_cast<std::size_t>(n_ffs));
     for (std::uint64_t f = 0; f < n_ffs; ++f) {
@@ -463,28 +474,6 @@ rsn::Rsn decode_rsn(ByteReader& r) {
       network.set_mux_select(id, pe.sel);
   }
   return network;
-}
-
-void encode_dep_matrix(ByteWriter& w, const DepMatrix& m) {
-  w.varint(m.size());
-  const std::vector<std::uint64_t>& s = m.plane_s();
-  const std::vector<std::uint64_t>& p = m.plane_p();
-  for (std::uint64_t word : s) w.fixed64(word);
-  for (std::uint64_t word : p) w.fixed64(word);
-}
-
-DepMatrix decode_dep_matrix(ByteReader& r) {
-  std::uint64_t n64 = r.varint();
-  if (n64 > (1ull << 24)) fail("matrix dimension out of range");
-  const std::size_t n = static_cast<std::size_t>(n64);
-  const std::size_t words = n * ((n + 63) / 64);
-  std::vector<std::uint64_t> s(words), p(words);
-  for (std::uint64_t& word : s) word = r.fixed64();
-  for (std::uint64_t& word : p) word = r.fixed64();
-  DepMatrix m;
-  if (!DepMatrix::from_planes(n, std::move(s), std::move(p), &m))
-    fail("invalid matrix planes");
-  return m;
 }
 
 void encode_tiled_matrix(ByteWriter& w, const TiledDepMatrix& m) {

@@ -10,7 +10,6 @@
 #include "netlist/netlist.hpp"
 #include "rsn/io.hpp"
 #include "rsn/rsn.hpp"
-#include "util/dep_matrix.hpp"
 #include "util/tiled_matrix.hpp"
 
 namespace rsnsec::store {
@@ -122,12 +121,6 @@ netlist::Netlist decode_netlist(ByteReader& r);
 /// update attachments included).
 void encode_rsn(ByteWriter& w, const rsn::Rsn& network);
 rsn::Rsn decode_rsn(ByteReader& r);
-
-/// Canonical encoding of a DepMatrix: dimension, then the two bit planes
-/// as little-endian words. Decode validates the plane shapes, the
-/// P-implies-S invariant and that no bit beyond column n-1 is set.
-void encode_dep_matrix(ByteWriter& w, const DepMatrix& m);
-DepMatrix decode_dep_matrix(ByteReader& r);
 
 /// Canonical encoding of a TiledDepMatrix: dimension, non-zero tile
 /// count, then each tile as (row block, column block, 128 little-endian

@@ -9,7 +9,7 @@ namespace {
 /// Versioned domain label: any change to the key recipe or the snapshot
 /// payload format must bump this, so old blobs become unreachable rather
 /// than mis-decoded.
-constexpr std::string_view kDepKeyLabel = "rsnsec-dep-v4";
+constexpr std::string_view kDepKeyLabel = "rsnsec-dep-v5";
 
 void encode_options_fingerprint(ByteWriter& w,
                                 const dep::DepOptions& options) {
@@ -19,23 +19,6 @@ void encode_options_fingerprint(ByteWriter& w,
   w.varint(options.sat_conflict_limit);
   w.varint(options.max_cycles);
   w.varint(options.seed);
-  // cone_cache is result-invariant for every counter except
-  // cone_cache_hits — which DepStats reports and the snapshot replays —
-  // so it participates in the key to keep even that field bit-identical.
-  w.u8(options.cone_cache ? 1 : 0);
-  // Like cone_cache: matrices are bit-identical either way, but the
-  // ternary_resolved / sat_* counters the snapshot replays are not.
-  w.u8(options.ternary_prefilter ? 1 : 0);
-  // Incremental SAT and clause sharing keep matrices and classification
-  // counters bit-identical, but the solver work counters the snapshot
-  // replays (solver_solves, cores_reused, ...) depend on both.
-  w.u8(options.sat_incremental ? 1 : 0);
-  w.u8(options.share_clauses ? 1 : 0);
-  // The representation choice selects the snapshot payload format (dense
-  // vs. tiled sections) and the footprint stats, so it must split the key
-  // space — otherwise a dense analyzer would keep discarding a tiled
-  // analyzer's perfectly valid blobs and vice versa.
-  w.u8(static_cast<std::uint8_t>(options.partition));
   // NOT num_threads: bit-identical at any thread count. NOT
   // tile_spill_budget / spill_backend: pure execution knobs — the
   // snapshot is always fully resident.
@@ -56,7 +39,9 @@ void encode_bits(ByteWriter& w, const std::vector<bool>& bits) {
 
 std::vector<bool> decode_bits(ByteReader& r) {
   std::uint64_t n = r.varint();
-  if (n > (1ull << 32)) throw CodecError("bit vector length out of range");
+  // Every started 64-bit word is 8 payload bytes.
+  if (n > (1ull << 32) || (n + 63) / 64 > r.remaining() / 8)
+    throw CodecError("bit vector length out of range");
   std::vector<bool> bits(static_cast<std::size_t>(n));
   std::uint64_t word = 0;
   for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -98,8 +83,8 @@ void encode_stats(ByteWriter& w, const dep::DepStats& s) {
   w.varint(s.cores_reused);
   w.varint(s.rotation_witnesses);
   w.varint(s.shared_clauses);
-  // v4: partition region count (restore() recomputes it anyway and
-  // prefers the live value; encoded for payload self-containedness). The
+  // Partition region count (restore() recomputes it anyway and prefers
+  // the live value; encoded for payload self-containedness). The
   // footprint fields (matrix_bytes, tiles_*) are intentionally absent:
   // they describe the producing process, not the result, and restore()
   // refreshes them from the restored matrices.
@@ -159,25 +144,14 @@ std::string dep_cache_key(const netlist::Netlist& nl, const rsn::Rsn& network,
 void encode_dep_snapshot(ByteWriter& w,
                          const dep::DependencyAnalyzer::AnalysisSnapshot& s) {
   encode_bits(w, s.internal);
-  // v4: representation flag selects which pair of matrix sections
-  // follows. Tiled snapshots store only the non-zero tiles — on sparse
-  // large-scale matrices the blob shrinks by the same factor as RAM.
-  w.u8(s.tiled ? 1 : 0);
-  if (s.tiled) {
-    ByteWriter one_cycle;
-    encode_tiled_matrix(one_cycle, s.one_cycle_tiled);
-    w.section(one_cycle);
-    ByteWriter closure;
-    encode_tiled_matrix(closure, s.closure_tiled);
-    w.section(closure);
-  } else {
-    ByteWriter one_cycle;
-    encode_dep_matrix(one_cycle, s.one_cycle);
-    w.section(one_cycle);
-    ByteWriter closure;
-    encode_dep_matrix(closure, s.closure);
-    w.section(closure);
-  }
+  // Only the non-zero tiles are stored — on sparse large-scale matrices
+  // the blob shrinks by the same factor as RAM.
+  ByteWriter one_cycle;
+  encode_tiled_matrix(one_cycle, s.one_cycle);
+  w.section(one_cycle);
+  ByteWriter closure;
+  encode_tiled_matrix(closure, s.closure);
+  w.section(closure);
   w.varint(s.capture_deps.size());
   for (const auto& reg : s.capture_deps) {
     w.varint(reg.size());
@@ -195,34 +169,27 @@ void encode_dep_snapshot(ByteWriter& w,
 dep::DependencyAnalyzer::AnalysisSnapshot decode_dep_snapshot(ByteReader& r) {
   dep::DependencyAnalyzer::AnalysisSnapshot s;
   s.internal = decode_bits(r);
-  const std::uint8_t tiled = r.u8();
-  if (tiled > 1) throw CodecError("matrix representation flag out of range");
-  s.tiled = tiled != 0;
-  if (s.tiled) {
-    ByteReader sec = r.section();
-    s.one_cycle_tiled = decode_tiled_matrix(sec);
-    sec.expect_end();
-    ByteReader sec2 = r.section();
-    s.closure_tiled = decode_tiled_matrix(sec2);
-    sec2.expect_end();
-  } else {
-    ByteReader sec = r.section();
-    s.one_cycle = decode_dep_matrix(sec);
-    sec.expect_end();
-    ByteReader sec2 = r.section();
-    s.closure = decode_dep_matrix(sec2);
-    sec2.expect_end();
-  }
+  ByteReader sec = r.section();
+  s.one_cycle = decode_tiled_matrix(sec);
+  sec.expect_end();
+  ByteReader sec2 = r.section();
+  s.closure = decode_tiled_matrix(sec2);
+  sec2.expect_end();
+  // Every register and scan FF costs at least one payload byte (its
+  // count), every capture dependency two (node id and kind), so larger
+  // counts are malformed — rejected before they size an allocation.
   std::uint64_t num_regs = r.varint();
-  if (num_regs > (1ull << 24)) throw CodecError("register count out of range");
+  if (num_regs > (1ull << 24) || num_regs > r.remaining())
+    throw CodecError("register count out of range");
   s.capture_deps.resize(static_cast<std::size_t>(num_regs));
   for (auto& reg : s.capture_deps) {
     std::uint64_t num_ffs = r.varint();
-    if (num_ffs > (1ull << 24)) throw CodecError("scan FF count out of range");
+    if (num_ffs > (1ull << 24) || num_ffs > r.remaining())
+      throw CodecError("scan FF count out of range");
     reg.resize(static_cast<std::size_t>(num_ffs));
     for (auto& deps : reg) {
       std::uint64_t n = r.varint();
-      if (n > (1ull << 24))
+      if (n > (1ull << 24) || n > r.remaining() / 2)
         throw CodecError("capture dependency count out of range");
       deps.reserve(static_cast<std::size_t>(n));
       for (std::uint64_t i = 0; i < n; ++i) {

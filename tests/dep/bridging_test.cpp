@@ -52,7 +52,7 @@ TEST(Bridging, Fig3StepByStepResult) {
   auto idx = [&](NodeId n) { return a.circuit_index(n); };
   EXPECT_TRUE(a.is_internal(idx(f.if1)));
   EXPECT_TRUE(a.is_internal(idx(f.if2)));
-  const DepMatrix& m = a.circuit_closure();
+  const DepMatrix m = a.circuit_closure().to_dense();
   EXPECT_EQ(m.get(idx(f.f5), idx(f.f9)), DepKind::Path);
   EXPECT_EQ(m.get(idx(f.f6), idx(f.f9)), DepKind::Structural);
   // No other cross dependencies among kept FFs (self-loops aside).

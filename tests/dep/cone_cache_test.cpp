@@ -1,14 +1,16 @@
 // Cone-isomorphism memoization: workloads with structurally repeated
 // logic (MBIST's identical memory interfaces) must classify each cone
 // shape once and replicate the verdicts, and the memoized run must be
-// bit-identical to the cache-off run (matrices, capture deps, and every
-// stats counter except cone_cache_hits).
+// bit-identical to the reference analysis, which classifies every cone on
+// its own (matrices and capture deps), and deterministic across thread
+// counts (including every stats counter).
 
 #include <gtest/gtest.h>
 
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "dep/analyzer.hpp"
+#include "reference/reference.hpp"
 
 namespace rsnsec::dep {
 namespace {
@@ -50,8 +52,8 @@ void expect_equal_results(const DependencyAnalyzer& a,
       }
     }
   }
-  // Every analysis counter except the hit count itself must agree: the
-  // cache replicates the representative's SAT/simulation work per member.
+  // Every classification counter must agree: each cone draws its
+  // patterns from its own (seed, signature) stream.
   EXPECT_EQ(a.stats().sim_resolved, b.stats().sim_resolved);
   EXPECT_EQ(a.stats().sat_calls, b.stats().sat_calls);
   EXPECT_EQ(a.stats().sat_functional, b.stats().sat_functional);
@@ -61,31 +63,22 @@ void expect_equal_results(const DependencyAnalyzer& a,
 
 TEST(ConeCache, MemoizedRunIsBitIdenticalToUncached) {
   Built b = make_mbist();
-
-  DepOptions cached;
-  cached.cone_cache = true;
-  DependencyAnalyzer with_cache(b.circuit, b.doc.network, cached);
+  DependencyAnalyzer with_cache(b.circuit, b.doc.network, {});
   with_cache.run();
-
-  DepOptions uncached;
-  uncached.cone_cache = false;
-  DependencyAnalyzer without_cache(b.circuit, b.doc.network, uncached);
-  without_cache.run();
 
   // MBIST instantiates the same memory interface many times, so the
   // cache must collapse repeated cone shapes.
   EXPECT_GT(with_cache.stats().cone_cache_hits, 0u);
-  EXPECT_EQ(without_cache.stats().cone_cache_hits, 0u);
-  expect_equal_results(with_cache, without_cache, b.doc.network);
+  reference::expect_matches(with_cache,
+                            reference::analyze(b.circuit, b.doc.network),
+                            b.doc.network, "MBIST_2_2_3");
 }
 
 TEST(ConeCache, CachedRunIsDeterministicAcrossThreadCounts) {
   Built b = make_mbist();
   DepOptions one;
-  one.cone_cache = true;
   one.num_threads = 1;
   DepOptions many;
-  many.cone_cache = true;
   many.num_threads = 8;
   DependencyAnalyzer a(b.circuit, b.doc.network, one);
   a.run();

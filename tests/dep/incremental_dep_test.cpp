@@ -1,8 +1,9 @@
-// Result-invariance of the incremental SAT hot path: enabling
-// incremental solving and cross-cone clause sharing must keep the
-// dependency matrices, capture dependencies and every classification
-// counter bit-identical to the plain query-every-leaf engine, at any
-// thread count — only the solver work counters may differ.
+// Result-invariance of the incremental SAT hot path: incremental solving
+// and cross-cone clause sharing must produce exactly the dependency
+// matrices and capture dependencies of the reference analysis (a fresh
+// cone checker per leaf query, tests/reference), at any thread count —
+// and the solver work counters themselves must not depend on the thread
+// count.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "dep/analyzer.hpp"
+#include "reference/reference.hpp"
 
 namespace rsnsec::dep {
 
@@ -35,9 +37,8 @@ struct Workload {
   }
 };
 
-/// Matrices, capture deps and classification counters must agree;
-/// solver work counters are intentionally NOT compared — incremental
-/// solving exists to change those.
+/// Two production runs at different thread counts: matrices, capture
+/// deps and classification counters must agree.
 void expect_same_results(const Workload& w, const DependencyAnalyzer& a,
                          const DependencyAnalyzer& b, const char* label) {
   EXPECT_TRUE(a.one_cycle() == b.one_cycle()) << label;
@@ -64,25 +65,20 @@ void expect_same_results(const Workload& w, const DependencyAnalyzer& a,
 }
 
 TEST(IncrementalDep, BitIdenticalToOracleOnAllBastionFamilies) {
-  std::uint64_t incremental_work = 0, oracle_work = 0, total_sat = 0;
+  std::uint64_t discharged = 0, total_sat = 0;
   for (const benchgen::BenchmarkProfile& p : benchgen::bastion_profiles()) {
     Workload w(p.name);
-    DepOptions oracle;
-    oracle.num_threads = 1;
-    oracle.sat_incremental = false;
-    oracle.share_clauses = false;
     DepOptions inc1;
     inc1.num_threads = 1;
     DepOptions incN = inc1;
     incN.num_threads = 8;
 
-    DependencyAnalyzer a(w.circuit, w.doc.network, oracle);
-    a.run();
     DependencyAnalyzer b(w.circuit, w.doc.network, inc1);
     b.run();
     DependencyAnalyzer c(w.circuit, w.doc.network, incN);
     c.run();
-    expect_same_results(w, a, b, p.name.c_str());
+    reference::expect_matches(b, reference::analyze(w.circuit, w.doc.network),
+                              w.doc.network, p.name);
     expect_same_results(w, b, c, (p.name + " @8 threads").c_str());
     // Incremental runs are also deterministic across thread counts in
     // their *solver* counters (two-wave sharing, per-cone RNG streams).
@@ -93,18 +89,14 @@ TEST(IncrementalDep, BitIdenticalToOracleOnAllBastionFamilies) {
     EXPECT_EQ(b.stats().rotation_witnesses, c.stats().rotation_witnesses)
         << p.name;
     EXPECT_EQ(b.stats().shared_clauses, c.stats().shared_clauses) << p.name;
-    // A query answered from the verdict cache, a reused core or a
-    // rotated model never reaches the solver, so the incremental engine
-    // can only solve less.
-    EXPECT_LE(b.stats().solver_solves, a.stats().solver_solves) << p.name;
-    incremental_work += b.stats().solver_solves;
-    oracle_work += a.stats().solver_solves;
+    discharged += b.stats().cores_reused + b.stats().rotation_witnesses;
     total_sat += b.stats().sat_calls;
   }
   // Across the whole family sweep SAT work must exist and the
-  // incremental machinery must discharge a real share of it.
+  // incremental machinery must discharge a real share of it without a
+  // solver call.
   EXPECT_GT(total_sat, 0u);
-  EXPECT_LT(incremental_work, oracle_work);
+  EXPECT_GT(discharged, 0u);
 }
 
 /// Hand-built workload with two same-shape AND-of-XOR cones, one fed
@@ -152,28 +144,18 @@ TEST(IncrementalDep, ClausesShareAcrossLeafKindsWithoutChangingResults) {
   TwoConeWorkload w(16);
   DepOptions sharing;
   sharing.num_threads = 1;
-  sharing.ternary_prefilter = false;
-  DepOptions no_sharing = sharing;
-  no_sharing.share_clauses = false;
 
   DependencyAnalyzer a(w.nl, w.net, sharing);
   a.run();
-  DependencyAnalyzer b(w.nl, w.net, no_sharing);
-  b.run();
 
   // The two cones differ only in one leaf's node kind: distinct exact
   // groups (no cache hit between them), one canonical share group.
   EXPECT_GT(a.stats().sat_calls, 0u);
   EXPECT_GT(a.stats().shared_clauses, 0u);
-  EXPECT_EQ(b.stats().shared_clauses, 0u);
 
   // Sharing changes solver work only, never results.
-  EXPECT_TRUE(a.one_cycle() == b.one_cycle());
-  EXPECT_TRUE(a.circuit_closure() == b.circuit_closure());
-  EXPECT_EQ(a.stats().sat_calls, b.stats().sat_calls);
-  EXPECT_EQ(a.stats().sat_functional, b.stats().sat_functional);
-  EXPECT_EQ(a.stats().sat_structural, b.stats().sat_structural);
-  EXPECT_EQ(a.stats().sat_unknown, b.stats().sat_unknown);
+  reference::expect_matches(a, reference::analyze(w.nl, w.net), w.net,
+                            "two cones");
 
   // And the wave schedule keeps multi-threaded runs bit-identical,
   // including the sharing counters themselves.

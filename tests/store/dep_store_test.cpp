@@ -250,6 +250,27 @@ TEST(DepStore, SnapshotCodecRejectsTruncation) {
         CodecError)
         << "prefix length " << cut;
   }
+  // A count claiming more elements than bytes remain is rejected before
+  // it sizes an allocation: the internal-FF bit vector, and the register
+  // count after two empty matrix sections.
+  {
+    ByteWriter hostile;
+    hostile.varint(1ull << 32);
+    ByteReader r(hostile.bytes());
+    EXPECT_THROW(decode_dep_snapshot(r), CodecError);
+  }
+  {
+    ByteWriter empty_matrix;
+    empty_matrix.varint(0);  // dimension
+    empty_matrix.varint(0);  // tiles
+    ByteWriter hostile;
+    hostile.varint(0);  // no internal-FF bits
+    hostile.section(empty_matrix);
+    hostile.section(empty_matrix);
+    hostile.varint(1ull << 24);
+    ByteReader r(hostile.bytes());
+    EXPECT_THROW(decode_dep_snapshot(r), CodecError);
+  }
 }
 
 // Warm pipeline: the dependency phase performs zero analysis work. This

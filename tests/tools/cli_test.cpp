@@ -347,19 +347,29 @@ TEST_F(CliTest, AnalyzeJsonEchoesDependencyConfiguration) {
                     path("c.v"), "--spec", path("s.spec"), "--json"});
   ASSERT_TRUE(rc == 0 || rc == 2) << err_.str();
   EXPECT_NE(out_.str().find("\"dep_mode\": \"exact\""), std::string::npos);
-  EXPECT_NE(out_.str().find("\"dep_ternary_prefilter\": true"),
-            std::string::npos);
 
   rc = run_cli({"analyze", "--rsn", path("n.rsn"), "--verilog",
                 path("c.v"), "--spec", path("s.spec"), "--json",
-                "--structural", "--no-ternary"});
+                "--structural"});
   ASSERT_TRUE(rc == 0 || rc == 2) << err_.str();
   EXPECT_NE(out_.str().find("\"dep_mode\": \"structural\""),
             std::string::npos);
-  EXPECT_NE(out_.str().find("\"dep_ternary_prefilter\": false"),
-            std::string::npos);
+  // Structural mode issues no SAT queries, so the ternary prefilter has
+  // nothing to discharge.
   EXPECT_NE(out_.str().find("\"dep_ternary_resolved\": 0"),
             std::string::npos);
+
+  // --no-ternary switches certify's refinement only; analyze and secure
+  // reject it instead of silently ignoring it.
+  for (const char* cmd : {"analyze", "secure"}) {
+    rc = run_cli({cmd, "--rsn", path("n.rsn"), "--verilog", path("c.v"),
+                  "--spec", path("s.spec"), "--out", path("o.rsn"),
+                  "--no-ternary"});
+    EXPECT_EQ(rc, 2) << cmd;
+    EXPECT_NE(err_.str().find("--no-ternary applies only to certify"),
+              std::string::npos)
+        << cmd << ": " << err_.str();
+  }
 }
 
 TEST_F(CliTest, UnknownModeIsUsageError) {
@@ -492,35 +502,32 @@ TEST_F(CliTest, BenchAttackEmitsBenchmarkSchema) {
             2);
 }
 
-TEST_F(CliTest, PartitionFlagSelectsRepresentation) {
+TEST_F(CliTest, AnalyzeReportsTiledFootprint) {
   ASSERT_EQ(run_cli({"generate", "--benchmark", "BasicSCB", "--seed", "3",
                      "--out-rsn", path("n.rsn"), "--out-verilog",
                      path("c.v"), "--out-spec", path("s.spec")}),
             0)
       << err_.str();
+  // Even a repro-scale workload runs on the tiled matrices: at least one
+  // region and one denoted tile, with their resident bytes.
   int rc = run_cli({"analyze", "--rsn", path("n.rsn"), "--verilog",
-                    path("c.v"), "--spec", path("s.spec"), "--json",
-                    "--partition", "tiled"});
+                    path("c.v"), "--spec", path("s.spec"), "--json"});
   ASSERT_TRUE(rc == 0 || rc == 2) << err_.str();
-  EXPECT_NE(out_.str().find("\"dep_partition\": \"tiled\""),
-            std::string::npos);
-  EXPECT_NE(out_.str().find("\"dep_tiled\": true"), std::string::npos);
-  EXPECT_NE(out_.str().find("\"dep_regions\": "), std::string::npos);
-  EXPECT_NE(out_.str().find("\"dep_matrix_bytes\": "), std::string::npos);
+  const std::string json = out_.str();
+  EXPECT_TRUE(testsupport::JsonValidator(json).validate()) << json;
+  EXPECT_NE(json.find("\"dep_regions\": "), std::string::npos);
+  EXPECT_EQ(json.find("\"dep_regions\": 0"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"dep_tiles_nonzero\": 0"), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"dep_matrix_bytes\": 0"), std::string::npos)
+      << json;
 
-  // The default (auto) stays dense on a repro-scale workload.
+  // The text report states the same footprint.
   rc = run_cli({"analyze", "--rsn", path("n.rsn"), "--verilog", path("c.v"),
-                "--spec", path("s.spec"), "--json"});
+                "--spec", path("s.spec")});
   ASSERT_TRUE(rc == 0 || rc == 2) << err_.str();
-  EXPECT_NE(out_.str().find("\"dep_partition\": \"auto\""),
-            std::string::npos);
-  EXPECT_NE(out_.str().find("\"dep_tiled\": false"), std::string::npos);
-
-  rc = run_cli({"analyze", "--rsn", path("n.rsn"), "--verilog", path("c.v"),
-                "--spec", path("s.spec"), "--partition", "bogus"});
-  EXPECT_EQ(rc, 2);
-  EXPECT_NE(err_.str().find("unknown --partition 'bogus'"),
-            std::string::npos);
+  EXPECT_NE(out_.str().find("bytes resident ("), std::string::npos)
+      << out_.str();
 }
 
 TEST_F(CliTest, TileSpillBudgetRequiresStore) {
@@ -539,10 +546,9 @@ TEST_F(CliTest, TileSpillBudgetRequiresStore) {
   EXPECT_NE(err_.str().find("--store"), std::string::npos);
 
   rc = run_cli({"analyze", "--rsn", path("n.rsn"), "--verilog", path("c.v"),
-                "--spec", path("s.spec"), "--json", "--partition", "tiled",
-                "--tile-spill-budget", "4096", "--store", path("store")});
+                "--spec", path("s.spec"), "--json", "--tile-spill-budget",
+                "4096", "--store", path("store")});
   ASSERT_TRUE(rc == 0 || rc == 2) << err_.str();
-  EXPECT_NE(out_.str().find("\"dep_tiled\": true"), std::string::npos);
   EXPECT_EQ(out_.str().find("\"dep_tiles_spilled\": 0"), std::string::npos)
       << out_.str();
 }
@@ -562,21 +568,18 @@ TEST_F(CliTest, BenchScaleEmitsBenchmarkSchema) {
   EXPECT_EQ(run_cli({"bench", "scale", "--max-ffs", "600"}), 2)
       << "bench scale without --json must be a usage error";
   int rc = run_cli({"bench", "scale", "--json", "--max-ffs", "600",
-                    "--dense-max", "600", "--jobs", "2"});
+                    "--jobs", "2"});
   ASSERT_EQ(rc, 0) << err_.str();
   const std::string json = out_.str();
   EXPECT_TRUE(testsupport::JsonValidator(json).validate()) << json;
-  // google-benchmark compare.py layout: context + benchmarks[], one
-  // dense and one tiled row per size plus the headline ratios.
+  // google-benchmark compare.py layout: context + benchmarks[], one row
+  // per size.
   EXPECT_NE(json.find("\"context\""), std::string::npos);
   EXPECT_NE(json.find("\"benchmarks\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"Scale_MBIST/"), std::string::npos);
-  EXPECT_NE(json.find("/dense\""), std::string::npos);
   EXPECT_NE(json.find("/tiled\""), std::string::npos);
   EXPECT_NE(json.find("\"time_unit\": \"ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"closure_speedup_vs_dense\""), std::string::npos);
-  EXPECT_NE(json.find("\"matrix_bytes_reduction_vs_dense\""),
-            std::string::npos);
+  EXPECT_NE(json.find("\"matrix_bytes\": "), std::string::npos);
   EXPECT_EQ(run_cli({"bench", "scale", "--json", "--max-ffs", "0"}), 2);
 }
 

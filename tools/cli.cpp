@@ -96,8 +96,8 @@ Args parse_args(const std::vector<std::string>& argv) {
     std::string key = a.substr(2);
     // Boolean flags.
     if (key == "structural" || key == "json" || key == "no-pure" ||
-        key == "no-hybrid" || key == "no-incremental" ||
-        key == "no-ternary" || key == "filter-baseline" || key == "verify" ||
+        key == "no-hybrid" || key == "no-ternary" ||
+        key == "filter-baseline" || key == "verify" ||
         key == "metrics" || key == "no-secure") {
       args.flags.push_back(key);
       continue;
@@ -231,7 +231,10 @@ PipelineOptions pipeline_options(const Args& args) {
       throw UsageError("unknown --mode '" + *m +
                        "' (try: exact, structural)");
   }
-  if (args.has_flag("no-ternary")) opt.dep.ternary_prefilter = false;
+  // --no-ternary switches off certify's ternary refinement, which changes
+  // its results; the dependency analysis has no such switch.
+  if (args.has_flag("no-ternary"))
+    throw UsageError("--no-ternary applies only to certify");
   if (args.has_flag("no-pure")) opt.run_pure = false;
   if (args.has_flag("no-hybrid")) opt.run_hybrid = false;
   // --verify turns on all three independent re-checks: the per-change
@@ -241,23 +244,6 @@ PipelineOptions pipeline_options(const Args& args) {
     opt.verify_invariants = true;
     opt.verify_certify = true;
     opt.verify_attack = true;
-  }
-  // Oracle mode: recompute violation state from scratch on every query
-  // instead of maintaining it incrementally. Same results, much slower;
-  // useful to cross-check the delta engine.
-  if (args.has_flag("no-incremental")) opt.resolve.incremental = false;
-  // Matrix representation. Bit-identical results either way (pinned by
-  // the partitioned-oracle tests); "auto" switches on circuit size.
-  if (auto p = args.get("partition")) {
-    if (*p == "auto")
-      opt.dep.partition = dep::PartitionMode::Auto;
-    else if (*p == "dense")
-      opt.dep.partition = dep::PartitionMode::Dense;
-    else if (*p == "tiled")
-      opt.dep.partition = dep::PartitionMode::Tiled;
-    else
-      throw UsageError("unknown --partition '" + *p +
-                       "' (try: auto, dense, tiled)");
   }
   // Resident-byte budget per tiled matrix; tiles beyond it spill to the
   // artifact store. The backend itself is wired by the subcommand, which
@@ -400,9 +386,6 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     rep.hybrid_violating_pairs = hybrid_pairs;
     rep.violating_registers = viol_regs;
     rep.dep_mode = deps.options().mode;
-    rep.dep_ternary_prefilter = deps.options().ternary_prefilter;
-    rep.dep_partition = deps.options().partition;
-    rep.dep_tiled = deps.tiled();
     rep.dep_stats = deps.stats();
     write_analyze_json(out, rep);
     out << "\n";
@@ -414,14 +397,10 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     out << "violating registers:    " << viol_regs << "\n";
     out << "violating pairs:        " << pure_pairs << " pure, "
         << hybrid_pairs << " incl. hybrid\n";
-    out << "dependency matrices:    "
-        << (deps.tiled() ? "tiled" : "dense") << ", "
-        << deps.stats().matrix_bytes << " bytes resident";
-    if (deps.tiled())
-      out << " (" << deps.stats().regions << " regions, "
-          << deps.stats().tiles_nonzero << " tiles, "
-          << deps.stats().tiles_spilled << " spill evictions)";
-    out << "\n";
+    out << "dependency matrices:    " << deps.stats().matrix_bytes
+        << " bytes resident (" << deps.stats().regions << " regions, "
+        << deps.stats().tiles_nonzero << " tiles, "
+        << deps.stats().tiles_spilled << " spill evictions)\n";
     for (const std::string& d : st.details) out << "  " << d << "\n";
   }
   if (args.has_flag("filter-baseline")) {
@@ -740,16 +719,12 @@ int cmd_bench_attack(const Args& args, std::ostream& out) {
   return 0;
 }
 
-/// `rsnsec bench scale --json [--max-ffs N] [--dense-max N]`: dependency-
-/// analysis wall-clock and matrix footprint across MBIST sizes, tiled
-/// representation vs. the dense oracle, in the google-benchmark JSON
-/// layout the CI validator checks. Runs in DepMode::StructuralOnly so the
-/// numbers measure the matrix machinery (construction, bridging, closure)
-/// rather than the SAT portfolio in front of it; both representations
-/// produce bit-identical matrices (pinned by the partitioned-oracle
-/// tests), so the deltas are pure representation cost. The dense oracle is
-/// only run up to --dense-max flip-flops — beyond that its quadratic
-/// footprint is the problem this benchmark exists to demonstrate.
+/// `rsnsec bench scale --json [--max-ffs N]`: dependency-analysis
+/// wall-clock and matrix footprint across MBIST sizes, in the
+/// google-benchmark JSON layout the CI validator checks. Runs in
+/// DepMode::StructuralOnly so the numbers measure the matrix machinery
+/// (construction, bridging, closure) rather than the SAT portfolio in
+/// front of it.
 int cmd_bench_scale(const Args& args, std::ostream& out) {
   if (!args.has_flag("json"))
     throw UsageError("bench scale only has a JSON report; pass --json");
@@ -757,8 +732,6 @@ int cmd_bench_scale(const Args& args, std::ostream& out) {
       u64_or_usage(args.get("seed").value_or("1"), "--seed");
   const std::uint64_t max_ffs =
       u64_or_usage(args.get("max-ffs").value_or("100000"), "--max-ffs");
-  const std::uint64_t dense_max =
-      u64_or_usage(args.get("dense-max").value_or("10000"), "--dense-max");
   if (max_ffs == 0) throw UsageError("--max-ffs needs a positive FF count");
   const std::size_t jobs = jobs_option(args);
 
@@ -767,49 +740,9 @@ int cmd_bench_scale(const Args& args, std::ostream& out) {
   for (std::uint64_t s = 1000; s < max_ffs; s *= 10) sizes.push_back(s);
   sizes.push_back(max_ffs);
 
-  struct ScaleRun {
-    double analysis_ms = 0.0;
-    double closure_ms = 0.0;
-    std::uint64_t matrix_bytes = 0;
-    std::uint64_t tiles_nonzero = 0;
-    std::size_t regions = 0;
-    std::size_t ffs = 0;
-  };
-  auto run_one = [&](const netlist::Netlist& circuit,
-                     const rsn::Rsn& network, dep::PartitionMode mode) {
-    dep::DepOptions dopt;
-    dopt.mode = dep::DepMode::StructuralOnly;
-    dopt.partition = mode;
-    dopt.num_threads = jobs;
-    dep::DependencyAnalyzer deps(circuit, network, dopt);
-    deps.run();
-    const dep::DepStats& s = deps.stats();
-    ScaleRun r;
-    r.analysis_ms = (s.t_one_cycle + s.t_bridge + s.t_closure) * 1e3;
-    r.closure_ms = s.t_closure * 1e3;
-    r.matrix_bytes = s.matrix_bytes;
-    r.tiles_nonzero = s.tiles_nonzero;
-    r.regions = s.regions;
-    r.ffs = s.circuit_ffs;
-    return r;
-  };
-  auto write_row = [&out](bool first, const std::string& variant,
-                          const ScaleRun& r) {
-    out << (first ? "\n" : ",\n") << "  {\"name\": \"Scale_MBIST/"
-        << r.ffs << "/" << variant << "\", \"run_type\": \"iteration\", "
-        << "\"iterations\": 1, \"real_time\": " << r.analysis_ms
-        << ", \"cpu_time\": " << r.analysis_ms
-        << ", \"time_unit\": \"ms\", \"closure_ms\": " << r.closure_ms
-        << ", \"circuit_ffs\": " << r.ffs
-        << ", \"matrix_bytes\": " << r.matrix_bytes
-        << ", \"tiles_nonzero\": " << r.tiles_nonzero
-        << ", \"regions\": " << r.regions;
-  };
-
   out << "{\"context\": {\"executable\": \"rsnsec\", \"experiment\": "
          "\"scale\", \"seed\": "
-      << seed << ", \"max_ffs\": " << max_ffs
-      << ", \"dense_max\": " << dense_max << "},\n\"benchmarks\": [";
+      << seed << ", \"max_ffs\": " << max_ffs << "},\n\"benchmarks\": [";
   bool first = true;
   for (std::uint64_t target : sizes) {
     // MBIST_n_4_4 has 5 + 383 n scan FFs and the random circuit attaches
@@ -821,29 +754,22 @@ int cmd_bench_scale(const Args& args, std::ostream& out) {
     rsn::RsnDocument doc = benchgen::generate_mbist(n, 4, 4, 1.0);
     netlist::Netlist circuit = benchgen::attach_random_circuit(doc, {}, rng);
 
-    std::optional<ScaleRun> dense;
-    if (static_cast<std::uint64_t>(circuit.ffs().size()) <= dense_max) {
-      dense = run_one(circuit, doc.network, dep::PartitionMode::Dense);
-      write_row(first, "dense", *dense);
-      out << "}";
-      first = false;
-    }
-    ScaleRun tiled = run_one(circuit, doc.network, dep::PartitionMode::Tiled);
-    write_row(first, "tiled", tiled);
-    if (dense) {
-      // The headline pair: closure wall-clock speedup and matrix-memory
-      // reduction of the tiled representation over the dense oracle at
-      // the same size.
-      out << ", \"closure_speedup_vs_dense\": "
-          << (tiled.closure_ms > 0.0 ? dense->closure_ms / tiled.closure_ms
-                                     : 0.0)
-          << ", \"matrix_bytes_reduction_vs_dense\": "
-          << (tiled.matrix_bytes > 0
-                  ? static_cast<double>(dense->matrix_bytes) /
-                        static_cast<double>(tiled.matrix_bytes)
-                  : 0.0);
-    }
-    out << "}";
+    dep::DepOptions dopt;
+    dopt.mode = dep::DepMode::StructuralOnly;
+    dopt.num_threads = jobs;
+    dep::DependencyAnalyzer deps(circuit, doc.network, dopt);
+    deps.run();
+    const dep::DepStats& s = deps.stats();
+    const double analysis_ms = (s.t_one_cycle + s.t_bridge + s.t_closure) * 1e3;
+    out << (first ? "\n" : ",\n") << "  {\"name\": \"Scale_MBIST/"
+        << s.circuit_ffs << "/tiled\", \"run_type\": \"iteration\", "
+        << "\"iterations\": 1, \"real_time\": " << analysis_ms
+        << ", \"cpu_time\": " << analysis_ms
+        << ", \"time_unit\": \"ms\", \"closure_ms\": " << s.t_closure * 1e3
+        << ", \"circuit_ffs\": " << s.circuit_ffs
+        << ", \"matrix_bytes\": " << s.matrix_bytes
+        << ", \"tiles_nonzero\": " << s.tiles_nonzero
+        << ", \"regions\": " << s.regions << "}";
     first = false;
   }
   out << "\n]}\n";
