@@ -89,9 +89,15 @@ void TaintAnalyzer::build_edges(const rsn::Rsn& network) {
   rsn_succ_.assign(owner_module_.size(), {});
 
   TernaryEvaluator ternary(nl_);
+  // Cones with at most this many other leaves are case-split, which makes
+  // their refinement exact (the SAT-exact analysis agrees edge for edge).
+  // Without it, absorption like OR(AND(x, a), a) kept structural-only
+  // edges the pipeline proves dead, and certify flagged secured designs.
+  constexpr std::size_t kCaseSplitLeaves = 4;
   auto edge_live = [&](const Cone& cone, std::size_t leaf_idx) {
     if (!options_.ternary_refine) return true;
-    if (ternary.proves_independent(cone, leaf_idx)) {
+    if (ternary.proves_independent_by_cases(cone, leaf_idx,
+                                            kCaseSplitLeaves)) {
       ++stats_.ternary_discharged;
       return false;
     }

@@ -140,4 +140,27 @@ bool TernaryEvaluator::proves_independent(const Cone& cone,
   return pair_proves_equal(val_[cone.root]);
 }
 
+bool TernaryEvaluator::proves_independent_by_cases(const Cone& cone,
+                                                   std::size_t leaf_idx,
+                                                   std::size_t max_split) {
+  if (proves_independent(cone, leaf_idx)) return true;
+  // proves_independent left every leaf at its base value; the split
+  // leaves are the ones it set to pair_equal.
+  split_.clear();
+  for (std::size_t l = 0; l < cone.leaves.size(); ++l) {
+    if (l == leaf_idx || val_[cone.leaves[l]] != pair_equal) continue;
+    if (split_.size() == max_split) return false;
+    split_.push_back(cone.leaves[l]);
+  }
+  if (split_.empty()) return false;  // nothing to split: already exact
+  for (std::size_t bits = 0; bits < (std::size_t{1} << split_.size());
+       ++bits) {
+    for (std::size_t k = 0; k < split_.size(); ++k)
+      val_[split_[k]] = ((bits >> k) & 1) != 0 ? pair_11 : pair_00;
+    for (NodeId g : cone.gates) val_[g] = eval_gate(g);
+    if (!pair_proves_equal(val_[cone.root])) return false;
+  }
+  return true;
+}
+
 }  // namespace rsnsec::flow

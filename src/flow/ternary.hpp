@@ -66,12 +66,24 @@ class TernaryEvaluator {
   /// provably-non-functional, "only structural" connection).
   bool proves_independent(const netlist::Cone& cone, std::size_t leaf_idx);
 
+  /// proves_independent, plus a case split when that single evaluation
+  /// fails and the cone has at most `max_split` other non-constant
+  /// leaves: one evaluation per assignment of those leaves, each fixed to
+  /// a constant pair. Independence holds iff it holds under every
+  /// assignment, so for such cones the answer is exact — it also sees
+  /// through reconvergences the pair domain folds away, like absorption
+  /// OR(AND(x, a), a) = a. At most 2^max_split extra evaluations.
+  bool proves_independent_by_cases(const netlist::Cone& cone,
+                                   std::size_t leaf_idx,
+                                   std::size_t max_split);
+
  private:
   PairSet eval_gate(netlist::NodeId gate);
 
   const netlist::Netlist& nl_;
   std::vector<PairSet> val_;             // NodeId -> abstract value
   std::vector<netlist::NodeId> dedup_;   // per-gate distinct-fanin scratch
+  std::vector<netlist::NodeId> split_;   // case-split leaves
 };
 
 }  // namespace rsnsec::flow

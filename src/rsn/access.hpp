@@ -52,6 +52,9 @@ class FanoutIndex {
  public:
   explicit FanoutIndex(const Rsn& network);
 
+  /// Number of indexed elements.
+  std::size_t size() const { return fanout_.size(); }
+
   const std::vector<std::pair<ElemId, std::size_t>>& of(ElemId id) const {
     return fanout_[static_cast<std::size_t>(id)];
   }

@@ -1,5 +1,6 @@
 #include "rsn/io.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -150,11 +151,14 @@ RsnDocument read_rsn(std::istream& is) {
       auto k = static_cast<std::size_t>(
           parse_num(tok[3], "mux input count", kMaxCount));
       if (by_name.count(tok[1])) throw fail("duplicate element name");
-      try {
-        by_name[tok[1]] = doc.network.add_mux(tok[1], k);
-      } catch (const std::exception& e) {
-        throw fail(e.what());
-      }
+      if (k == 0) throw fail("mux needs >= 1 input");
+      // add_mux requires >= 2 ports, but a mux shrunk to one port by
+      // remove_mux_input is legal in a live network (the resolver leaves
+      // such muxes behind): create with two and drop the extra one, as
+      // decode_rsn does.
+      ElemId id = doc.network.add_mux(tok[1], std::max<std::size_t>(2, k));
+      if (k == 1) doc.network.remove_mux_input(id, 1);
+      by_name[tok[1]] = id;
     } else if (kw == "connect") {
       if (tok.size() != 4) throw fail("expected: connect <from> <to> <port>");
       ElemId from = lookup(tok[1]);

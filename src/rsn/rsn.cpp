@@ -20,6 +20,7 @@ Rsn::Rsn(std::string name) : name_(std::move(name)) {
 
 ElemId Rsn::add_register(std::string name, std::size_t n_ffs,
                          netlist::ModuleId module) {
+  assert(!journal_open_ && "registers are not journaled");
   if (n_ffs == 0) throw std::invalid_argument("register needs >= 1 scan FF");
   auto id = static_cast<ElemId>(elems_.size());
   Element e;
@@ -28,8 +29,6 @@ ElemId Rsn::add_register(std::string name, std::size_t n_ffs,
   e.inputs.assign(1, no_elem);
   e.module = module;
   e.ffs.resize(n_ffs);
-  for (std::size_t i = 0; i < n_ffs; ++i)
-    e.ffs[i].name = e.name + "[" + std::to_string(i) + "]";
   elems_.push_back(std::move(e));
   registers_.push_back(id);
   return id;
@@ -44,6 +43,7 @@ ElemId Rsn::add_mux(std::string name, std::size_t n_inputs) {
   e.inputs.assign(n_inputs, no_elem);
   elems_.push_back(std::move(e));
   muxes_.push_back(id);
+  record(Edit::Kind::AddMux, id);
   return id;
 }
 
@@ -53,6 +53,7 @@ void Rsn::connect(ElemId from, ElemId to, std::size_t port) {
     throw std::invalid_argument("scan-in port has no inputs");
   if (port >= t.inputs.size())
     throw std::out_of_range("no such input port on '" + t.name + "'");
+  record(Edit::Kind::SetInput, to, port, t.inputs[port]);
   t.inputs[port] = from;
 }
 
@@ -60,6 +61,7 @@ void Rsn::disconnect(ElemId to, std::size_t port) {
   Element& t = mut(to);
   if (port >= t.inputs.size())
     throw std::out_of_range("no such input port on '" + t.name + "'");
+  record(Edit::Kind::SetInput, to, port, t.inputs[port]);
   t.inputs[port] = no_elem;
 }
 
@@ -70,6 +72,7 @@ void Rsn::remove_mux_input(ElemId mux, std::size_t port) {
     throw std::out_of_range("no such mux port");
   if (m.inputs.size() <= 1)
     throw std::logic_error("cannot remove the last mux input");
+  record(Edit::Kind::RemoveInput, mux, port, m.inputs[port], m.sel);
   m.inputs.erase(m.inputs.begin() + static_cast<std::ptrdiff_t>(port));
   if (m.sel >= m.inputs.size()) m.sel = m.inputs.size() - 1;
 }
@@ -77,6 +80,7 @@ void Rsn::remove_mux_input(ElemId mux, std::size_t port) {
 std::size_t Rsn::add_mux_input(ElemId mux, ElemId from) {
   Element& m = mut(mux);
   assert(m.kind == ElemKind::Mux);
+  record(Edit::Kind::AddInput, mux);
   m.inputs.push_back(from);
   return m.inputs.size() - 1;
 }
@@ -109,25 +113,98 @@ void Rsn::set_mux_select(ElemId mux, std::size_t sel) {
   Element& m = mut(mux);
   assert(m.kind == ElemKind::Mux);
   if (sel >= m.inputs.size()) throw std::out_of_range("mux select");
+  assert(!journal_open_ && "mux selects are not journaled");
   m.sel = sel;
 }
 
 void Rsn::set_capture(ElemId reg, std::size_t ff, netlist::NodeId src) {
   Element& r = mut(reg);
   assert(r.kind == ElemKind::Register);
+  assert(!journal_open_ && "circuit attachments are not journaled");
   r.ffs.at(ff).capture_src = src;
 }
 
 void Rsn::set_update(ElemId reg, std::size_t ff, netlist::NodeId dst) {
   Element& r = mut(reg);
   assert(r.kind == ElemKind::Register);
+  assert(!journal_open_ && "circuit attachments are not journaled");
   r.ffs.at(ff).update_dst = dst;
 }
 
 void Rsn::set_module(ElemId reg, netlist::ModuleId module) {
   Element& r = mut(reg);
   assert(r.kind == ElemKind::Register);
+  assert(!journal_open_ && "module assignments are not journaled");
   r.module = module;
+}
+
+void Rsn::begin_journal() {
+  if (journal_open_) throw std::logic_error("edit journal already open");
+  journal_open_ = true;
+  journal_auto_mux_ = next_auto_mux_;
+  journal_.clear();
+  journal_elems_.clear();
+}
+
+const std::vector<ElemId>& Rsn::journal_elements() {
+  std::sort(journal_elems_.begin(), journal_elems_.end());
+  journal_elems_.erase(
+      std::unique(journal_elems_.begin(), journal_elems_.end()),
+      journal_elems_.end());
+  return journal_elems_;
+}
+
+void Rsn::rollback_journal() {
+  assert(journal_open_);
+  for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
+    Element& e = mut(it->elem);
+    switch (it->kind) {
+      case Edit::Kind::SetInput:
+        e.inputs[it->port] = it->old_driver;
+        break;
+      case Edit::Kind::RemoveInput:
+        e.inputs.insert(
+            e.inputs.begin() + static_cast<std::ptrdiff_t>(it->port),
+            it->old_driver);
+        e.sel = it->old_sel;
+        break;
+      case Edit::Kind::AddInput:
+        e.inputs.pop_back();
+        break;
+      case Edit::Kind::AddMux:
+        // Elements are created at the end and undone newest first, so
+        // the mux is the last element and the last mux.
+        assert(it->elem + 1 == elems_.size());
+        muxes_.pop_back();
+        elems_.pop_back();
+        break;
+    }
+  }
+  next_auto_mux_ = journal_auto_mux_;
+  close_journal();
+}
+
+void Rsn::close_journal() {
+  journal_open_ = false;
+  journal_.clear();
+  journal_elems_.clear();
+}
+
+void Rsn::sync_from(const Rsn& src, const std::vector<ElemId>& edited) {
+  for (ElemId id : edited) {
+    const Element& e = src.elem(id);
+    if (id < elems_.size()) {
+      mut(id).inputs = e.inputs;
+      mut(id).sel = e.sel;
+      continue;
+    }
+    // Created by the edit: ids are dense, so `edited` lists the new muxes
+    // in creation order right after the existing elements.
+    assert(id == elems_.size() && e.kind == ElemKind::Mux);
+    elems_.push_back(e);
+    muxes_.push_back(id);
+  }
+  next_auto_mux_ = src.next_auto_mux_;
 }
 
 std::size_t Rsn::num_scan_ffs() const {

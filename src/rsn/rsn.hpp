@@ -22,7 +22,6 @@ enum class ElemKind : std::uint8_t { ScanIn, ScanOut, Register, Mux };
 struct ScanFF {
   netlist::NodeId capture_src = netlist::no_node;
   netlist::NodeId update_dst = netlist::no_node;
-  std::string name;
 };
 
 /// One element of the reconfigurable scan network.
@@ -48,8 +47,11 @@ struct Element {
 /// scan-out port. Supports the structural edits (cut, reconnect, mux
 /// insertion) the resolution step of the paper applies, and computes
 /// active scan paths and any-configuration reachability for the security
-/// analysis. Value semantics: copying an Rsn snapshots the topology, which
-/// the resolver uses to trial-evaluate repair candidates.
+/// analysis. An edit journal (begin_journal / rollback_journal) records
+/// those edits so they can be undone in place: the resolver applies each
+/// trial-evaluated repair candidate to a long-lived per-worker copy of
+/// the network, scores it and rolls it back, instead of copying the
+/// network per candidate.
 class Rsn {
  public:
   /// Creates a network containing only the scan-in and scan-out ports.
@@ -151,7 +153,62 @@ class Rsn {
   /// All elements that reach `to` (excluding `to` itself).
   std::vector<ElemId> reaching(ElemId to) const;
 
+  /// Starts an edit journal. Until rollback_journal() or close_journal(),
+  /// the repair edits — connect, disconnect, add_mux_input,
+  /// remove_mux_input, add_mux, and the attach_to_scan_out built on them
+  /// — are recorded, so rollback_journal() restores the network exactly:
+  /// elements, input lists, selects, muxes() and the counter that names
+  /// auto-inserted muxes. The other setters (add_register, set_mux_select,
+  /// circuit attachments, modules) must not be called while a journal is
+  /// open. Throws std::logic_error if a journal is already open.
+  void begin_journal();
+
+  /// True between begin_journal() and rollback/close.
+  bool journal_open() const { return journal_open_; }
+
+  /// Elements edited since begin_journal(): each element whose input list
+  /// an edit touched, and each mux created, ascending and without
+  /// duplicates. A touched element may have been edited back to its
+  /// original state.
+  const std::vector<ElemId>& journal_elements();
+
+  /// Undoes every edit since begin_journal(), newest first, and closes
+  /// the journal.
+  void rollback_journal();
+
+  /// Keeps the edits since begin_journal() and closes the journal.
+  void close_journal();
+
+  /// Replays an edit of `src` on this network: `*this` must equal `src`
+  /// as it was before a journaled edit, and `edited` must be that
+  /// journal's journal_elements(). Copies the edited elements' input
+  /// lists and selects, appends the created muxes and takes over the
+  /// auto-mux counter — O(edited), not O(network).
+  void sync_from(const Rsn& src, const std::vector<ElemId>& edited);
+
  private:
+  /// One journaled edit, with what undoing it needs.
+  struct Edit {
+    enum class Kind : std::uint8_t {
+      SetInput,     ///< inputs[port] was old_driver
+      RemoveInput,  ///< port held old_driver; select was old_sel
+      AddInput,     ///< a port was appended
+      AddMux        ///< the last element, a mux, was created
+    };
+    Kind kind;
+    ElemId elem;
+    std::size_t port;
+    ElemId old_driver;
+    std::size_t old_sel;
+  };
+
+  void record(Edit::Kind kind, ElemId elem, std::size_t port = 0,
+              ElemId old_driver = no_elem, std::size_t old_sel = 0) {
+    if (!journal_open_) return;
+    journal_.push_back({kind, elem, port, old_driver, old_sel});
+    journal_elems_.push_back(elem);
+  }
+
   std::string name_;
   std::vector<Element> elems_;
   std::vector<ElemId> registers_;
@@ -159,6 +216,10 @@ class Rsn {
   ElemId scan_in_ = no_elem;
   ElemId scan_out_ = no_elem;
   int next_auto_mux_ = 0;
+  bool journal_open_ = false;
+  int journal_auto_mux_ = 0;  ///< next_auto_mux_ at begin_journal()
+  std::vector<Edit> journal_;
+  std::vector<ElemId> journal_elems_;
 
   Element& mut(ElemId id) { return elems_[static_cast<std::size_t>(id)]; }
 };

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -24,7 +23,11 @@ struct StageLabels {
 /// (Fig. 2, steps 3 and 4). Violation state lives in an `Index` (a
 /// PureViolationIndex or HybridViolationIndex built from `analyzer`) and
 /// is maintained under deltas; candidate cuts are trial-evaluated in
-/// parallel against it. Per iteration the stage supplies only
+/// parallel against it, each applied to a per-worker TrialWorkspaces
+/// copy of the network and rolled back through its edit journal. Every
+/// applied change is journaled too: its edited elements drive the index
+/// commit and the workspace sync. `network` must be acyclic (the
+/// pipeline validates it first). Per iteration the stage supplies only
 ///  - `candidates(violation, network)`: the connections to try cutting,
 ///  - `isolation_target(violation, network)`: the register whose output
 ///    is isolated when no cut reduces the violating-pair count.
@@ -51,6 +54,15 @@ ResolveStats resolve_loop(const StageLabels& labels, const Analyzer& analyzer,
     owned_pool.emplace(ThreadPool::resolve_num_threads(options.num_threads));
     pool = &*owned_pool;
   }
+  TrialWorkspaces workspaces(network, pool->num_threads());
+  // Per-worker delta-query scratch, keyed by workspace slot.
+  std::vector<typename Index::Scratch> scratch(workspaces.capacity());
+  const Rewirer::TrialScorer score =
+      [&index, &scratch](const rsn::Rsn& trial,
+                         const std::vector<rsn::ElemId>& edited,
+                         std::size_t slot) {
+        return index.eval_trial(trial, edited, scratch[slot]);
+      };
   stats.initial_violating_registers = index.violating_registers();
   stats.initial_violating_pairs = index.pairs();
   // Applying a cut re-runs the deterministic cut_connection on the real
@@ -72,25 +84,18 @@ ResolveStats resolve_loop(const StageLabels& labels, const Analyzer& analyzer,
     // Each cut is evaluated with both reconnection variants ([17]-style
     // candidate generation); the policy decides how exhaustively.
     Rewirer::Selection sel = Rewirer::select_cut_parallel(
-        network, candidates(*v, network),
-        [&index]() -> Rewirer::TrialCounter {
-          auto scratch = std::make_shared<typename Index::Scratch>();
-          return [&index, scratch](const rsn::Rsn& n) {
-            return index.eval_trial(n, *scratch);
-          };
-        },
+        workspaces, index.fanout(), candidates(*v, network), score,
         cur_pairs, policy, *pool);
 
     AppliedChange change;
+    network.begin_journal();
     if (sel.found) {
       change.kind = AppliedChange::Kind::CutConnection;
       change.cut = sel.cut;
-      change.rewire_operations =
-          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
+      change.rewire_operations = Rewirer::cut_connection(
+          network, index.fanout(), sel.cut, sel.reconnect_hint);
       change.note = stage + ": cut " + network.elem(sel.cut.from).name +
                     " -> " + network.elem(sel.cut.to).name;
-      cur_pairs = sel.residual_pairs;
-      index.commit(network);
     } else {
       // Guaranteed-progress fallback.
       const rsn::ElemId iso = isolation_target(*v, network);
@@ -100,9 +105,12 @@ ResolveStats resolve_loop(const StageLabels& labels, const Analyzer& analyzer,
           Rewirer::isolate_register_output(network, iso);
       change.note = stage + ": isolate " + network.elem(iso).name;
       ++stats.fallback_isolations;
-      index.commit(network);
-      cur_pairs = index.pairs();
     }
+    const std::vector<rsn::ElemId> edited = network.journal_elements();
+    network.close_journal();
+    index.commit(network, edited);
+    workspaces.sync(edited);
+    cur_pairs = sel.found ? sel.residual_pairs : index.pairs();
     ++stats.applied_changes;
     stats.rewire_operations += change.rewire_operations;
     if (trace != nullptr) {

@@ -1,6 +1,8 @@
 #include "security/rewire.hpp"
 
 #include <cassert>
+#include <ranges>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -23,72 +25,129 @@ std::vector<Connection> Rewirer::all_connections(const Rsn& network) {
   return out;
 }
 
+namespace {
+
+/// The first element, in discovery order, of the depth-first walk that
+/// Rsn::reaching and Rsn::reachable_from run from `start` (neighbors in
+/// `next(id)` order, each recorded when first seen) that satisfies
+/// `accept`, or no_elem. A repair takes the first eligible element of
+/// that order, so the walk stops there instead of listing the whole
+/// predecessor or successor set per trial.
+template <typename NextFn, typename AcceptFn>
+ElemId first_discovered(std::size_t num_elements, ElemId start, NextFn&& next,
+                        AcceptFn&& accept) {
+  std::vector<bool> seen(num_elements, false);
+  std::vector<ElemId> stack{start};
+  seen[start] = true;
+  while (!stack.empty()) {
+    ElemId id = stack.back();
+    stack.pop_back();
+    for (ElemId s : next(id)) {
+      if (s == rsn::no_elem || seen[s]) continue;
+      if (accept(s)) return s;
+      seen[s] = true;
+      stack.push_back(s);
+    }
+  }
+  return rsn::no_elem;
+}
+
+}  // namespace
+
+ElemId Rewirer::first_predecessor(const Rsn& network, ElemId to,
+                                  ElemId avoid) {
+  return first_discovered(
+      network.num_elements(), to,
+      [&](ElemId id) -> const std::vector<ElemId>& {
+        return network.elem(id).inputs;
+      },
+      [&](ElemId cand) {
+        return cand != avoid &&
+               network.elem(cand).kind != ElemKind::ScanOut;
+      });
+}
+
+ElemId Rewirer::first_successor(const Rsn& network,
+                                const rsn::FanoutIndex& fanout, ElemId from,
+                                ElemId avoid) {
+  return first_discovered(
+      network.num_elements(), from,
+      [&](ElemId id) { return fanout.of(id) | std::views::keys; },
+      [&](ElemId cand) {
+        const ElemKind k = network.elem(cand).kind;
+        return cand != avoid &&
+               (k == ElemKind::Mux || k == ElemKind::Register);
+      });
+}
+
+bool Rewirer::closes_cycle(const Rsn& network, ElemId driver,
+                           ElemId consumer) {
+  // In an acyclic network, a new connection driver -> consumer closes a
+  // cycle exactly when the consumer already reaches the driver: a walk
+  // over the driver's input cone, not a whole-network check.
+  if (driver == consumer) return true;
+  std::vector<bool> seen(network.num_elements(), false);
+  std::vector<ElemId> stack{driver};
+  seen[driver] = true;
+  while (!stack.empty()) {
+    ElemId id = stack.back();
+    stack.pop_back();
+    for (ElemId in : network.elem(id).inputs) {
+      if (in == rsn::no_elem || seen[in]) continue;
+      if (in == consumer) return true;
+      seen[in] = true;
+      stack.push_back(in);
+    }
+  }
+  return false;
+}
+
 int Rewirer::repair_dangling_input(Rsn& network, ElemId to, std::size_t port,
-                                   const std::vector<ElemId>& pre_preds,
-                                   ElemId avoid, ElemId hint) {
+                                   ElemId pre_pred, ElemId avoid,
+                                   ElemId hint) {
   // Reconnect to a multi-cycle predecessor over pure scan paths that does
   // not recreate a cycle (Sec. III-D: "only segments that are multi-cycle
   // predecessors/successors over pure scan paths are connected"); fall
   // back to the scan-in port. A hint (evaluated as a separate repair
-  // candidate by the resolver) overrides the default choice.
+  // candidate by the resolver) overrides the default choice. The
+  // predecessor needs no cycle check: it reached `to` before the input
+  // was cut, so in the acyclic network `to` cannot reach it.
   if (hint != rsn::no_elem && hint != avoid && hint != to &&
-      network.elem(hint).kind != ElemKind::ScanOut) {
+      network.elem(hint).kind != ElemKind::ScanOut &&
+      !closes_cycle(network, hint, to)) {
     network.connect(hint, to, port);
-    if (network.is_acyclic()) return 1;
-    network.disconnect(to, port);
+  } else {
+    network.connect(pre_pred != rsn::no_elem ? pre_pred : network.scan_in(),
+                    to, port);
   }
-  for (ElemId cand : pre_preds) {
-    if (cand == avoid || cand == to) continue;
-    ElemKind k = network.elem(cand).kind;
-    if (k == ElemKind::ScanOut) continue;
-    network.connect(cand, to, port);
-    if (network.is_acyclic()) return 1;
-    network.disconnect(to, port);
-  }
-  network.connect(network.scan_in(), to, port);
   return 1;
 }
 
-int Rewirer::repair_lost_fanout(Rsn& network, ElemId from,
-                                const std::vector<ElemId>& pre_succs,
+int Rewirer::repair_lost_fanout(Rsn& network, ElemId from, ElemId pre_succ,
                                 ElemId avoid) {
-  int ops = 0;
-  for (ElemId cand : pre_succs) {
-    if (cand == avoid || cand == from) continue;
-    const rsn::Element& e = network.elem(cand);
-    if (e.kind == ElemKind::Mux) {
-      network.add_mux_input(cand, from);
-      if (network.is_acyclic()) return 1;
-      network.remove_mux_input(cand, e.inputs.size() - 1);
-      continue;
-    }
-    if (e.kind == ElemKind::Register) {
-      // Insert a fresh 2:1 mux in front of the register ("placing new
-      // multiplexers", Sec. IV-C).
-      ElemId old_driver = e.inputs[0];
-      if (old_driver == rsn::no_elem) {
-        network.connect(from, cand, 0);
-        if (network.is_acyclic()) return 1;
-        network.disconnect(cand, 0);
-        continue;
-      }
-      ElemId m = network.add_mux(
-          "repair_mux_" + std::to_string(network.num_elements()), 2);
-      network.connect(old_driver, m, 0);
-      network.connect(from, m, 1);
-      network.connect(m, cand, 0);
-      if (network.is_acyclic()) return 2;
-      // Roll back: restore the old driver. The fresh mux stays allocated
-      // but unused; it has no connections into the rest of the network.
-      network.disconnect(m, 0);
-      network.disconnect(m, 1);
-      network.connect(old_driver, cand, 0);
-      ops = 0;
-      continue;
-    }
+  // The successor needs no cycle check either: `from` reached it before
+  // the cut, so it cannot reach `from` — the cut only removed an edge, and
+  // the dangling-input repair only added one into the cut's consumer,
+  // which (downstream of `from`) cannot reach `from` itself.
+  if (pre_succ == rsn::no_elem)
+    return attach_to_scan_out_avoiding(network, from, avoid);
+  if (network.elem(pre_succ).kind == ElemKind::Mux) {
+    network.add_mux_input(pre_succ, from);
+    return 1;
   }
-  (void)ops;
-  return attach_to_scan_out_avoiding(network, from, avoid);
+  ElemId old_driver = network.elem(pre_succ).inputs[0];
+  if (old_driver == rsn::no_elem) {
+    network.connect(from, pre_succ, 0);
+    return 1;
+  }
+  // Insert a fresh 2:1 mux in front of the register ("placing new
+  // multiplexers", Sec. IV-C).
+  ElemId m = network.add_mux(
+      "repair_mux_" + std::to_string(network.num_elements()), 2);
+  network.connect(old_driver, m, 0);
+  network.connect(from, m, 1);
+  network.connect(m, pre_succ, 0);
+  return 2;
 }
 
 int Rewirer::attach_to_scan_out_avoiding(Rsn& network, ElemId from,
@@ -109,11 +168,39 @@ int Rewirer::attach_to_scan_out_avoiding(Rsn& network, ElemId from,
   return created == rsn::no_elem ? 1 : 2;
 }
 
+TrialWorkspaces::TrialWorkspaces(const Rsn& committed, std::size_t capacity)
+    : committed_(committed), nets_(capacity) {}
+
+TrialWorkspaces::Claim::Claim(TrialWorkspaces& pool) : pool_(pool) {
+  std::lock_guard<std::mutex> lock(pool_.mutex_);
+  if (!pool_.free_.empty()) {
+    slot_ = pool_.free_.back();
+    pool_.free_.pop_back();
+    return;
+  }
+  if (pool_.created_ == pool_.nets_.size())
+    throw std::logic_error("more concurrent trial chunks than workspaces");
+  slot_ = pool_.created_++;
+  pool_.nets_[slot_] = std::make_unique<Rsn>(pool_.committed_);
+}
+
+TrialWorkspaces::Claim::~Claim() {
+  if (network().journal_open()) network().rollback_journal();
+  std::lock_guard<std::mutex> lock(pool_.mutex_);
+  pool_.free_.push_back(slot_);
+}
+
+void TrialWorkspaces::sync(const std::vector<ElemId>& edited) {
+  for (std::size_t i = 0; i < created_; ++i)
+    nets_[i]->sync_from(committed_, edited);
+}
+
 Rewirer::Selection Rewirer::select_cut_parallel(
-    const Rsn& network, const std::vector<Connection>& candidates,
-    const TrialCounterFactory& make_counter, std::size_t current_pairs,
-    ResolutionPolicy policy, ThreadPool& pool) {
+    TrialWorkspaces& workspaces, const rsn::FanoutIndex& fanout,
+    const std::vector<Connection>& candidates, const TrialScorer& score,
+    std::size_t current_pairs, ResolutionPolicy policy, ThreadPool& pool) {
   obs::TraceSession* trace = obs::TraceSession::active();
+  const Rsn& network = workspaces.committed();
   // Flatten the nested (candidate, hint) loop into one combo list in the
   // same order; evaluate all combos concurrently; then select by scanning
   // the results in combo order. The scan replicates the sequential policy
@@ -132,20 +219,23 @@ Rewirer::Selection Rewirer::select_cut_parallel(
     // A hint-insensitive cut yields the same trial for both hints; the
     // duplicate cannot change the selection (identical pairs and ops lose
     // every strict tie-break), so it is not evaluated.
-    if (!cut_is_hint_insensitive(network, c)) combos.push_back({c, hints[1]});
+    if (!cut_is_hint_insensitive(network, fanout, c))
+      combos.push_back({c, hints[1]});
   }
   std::vector<std::size_t> pairs(combos.size(), 0);
   std::vector<int> ops(combos.size(), 0);
   pool.parallel_chunks(
       0, combos.size(),
       [&](std::size_t cb, std::size_t ce, std::size_t) {
-        // One counter (and thus one set of delta-query scratch buffers)
-        // per chunk, reused across the chunk's trials.
-        TrialCounter count = make_counter();
+        // Apply, score and roll back each trial on one claimed workspace.
+        TrialWorkspaces::Claim ws(workspaces);
+        Rsn& trial = ws.network();
         for (std::size_t i = cb; i < ce; ++i) {
-          Rsn trial = network;
-          ops[i] = cut_connection(trial, combos[i].cut, combos[i].hint);
-          pairs[i] = count(trial);
+          trial.begin_journal();
+          ops[i] = cut_connection(trial, fanout, combos[i].cut,
+                                  combos[i].hint);
+          pairs[i] = score(trial, trial.journal_elements(), ws.slot());
+          trial.rollback_journal();
         }
       },
       /*grain=*/0);
@@ -169,6 +259,7 @@ Rewirer::Selection Rewirer::select_cut_parallel(
 }
 
 bool Rewirer::cut_is_hint_insensitive(const Rsn& network,
+                                      const rsn::FanoutIndex& fanout,
                                       const Connection& c) {
   // The reconnect hint is consulted only by repair_dangling_input, which
   // runs when the cut leaves a non-mux input dangling. A cut that merely
@@ -178,11 +269,17 @@ bool Rewirer::cut_is_hint_insensitive(const Rsn& network,
   if (to_elem.kind != ElemKind::Mux || to_elem.inputs.size() <= 1)
     return false;
   return !(network.elem(c.from).kind != ElemKind::ScanIn &&
-           network.fanouts(c.from).size() == 1);
+           fanout.of(c.from).size() == 1);
 }
 
 int Rewirer::cut_connection(Rsn& network, const Connection& c,
                             ElemId reconnect_hint) {
+  return cut_connection(network, rsn::FanoutIndex(network), c,
+                        reconnect_hint);
+}
+
+int Rewirer::cut_connection(Rsn& network, const rsn::FanoutIndex& fanout,
+                            const Connection& c, ElemId reconnect_hint) {
   assert(network.elem(c.to).inputs.at(c.port) == c.from);
   int ops = 1;
   const rsn::Element& to_elem = network.elem(c.to);
@@ -191,22 +288,22 @@ int Rewirer::cut_connection(Rsn& network, const Connection& c,
   // `from` is orphaned exactly when this connection is its only fanout
   // (repairs reconnect drivers to `c.to` but never to `from`).
   const bool loses_fanout = network.elem(c.from).kind != ElemKind::ScanIn &&
-                            network.fanouts(c.from).size() == 1;
-  // Predecessor/successor sets *before* the cut, per Sec. III-D —
-  // computed only for the repairs that actually consult them.
-  std::vector<ElemId> pre_preds, pre_succs;
-  if (!mux_shrink) pre_preds = network.reaching(c.to);
-  if (loses_fanout) pre_succs = network.reachable_from(c.from);
+                            fanout.of(c.from).size() == 1;
+  // The repairs' multi-cycle predecessor/successor *before* the cut, per
+  // Sec. III-D — found only for the repairs that actually consult them.
+  ElemId pre_pred = rsn::no_elem, pre_succ = rsn::no_elem;
+  if (!mux_shrink) pre_pred = first_predecessor(network, c.to, c.from);
+  if (loses_fanout) pre_succ = first_successor(network, fanout, c.from, c.to);
 
   if (mux_shrink) {
     network.remove_mux_input(c.to, c.port);
   } else {
     network.disconnect(c.to, c.port);
-    ops += repair_dangling_input(network, c.to, c.port, pre_preds, c.from,
+    ops += repair_dangling_input(network, c.to, c.port, pre_pred, c.from,
                                  reconnect_hint);
   }
 
-  if (loses_fanout) ops += repair_lost_fanout(network, c.from, pre_succs, c.to);
+  if (loses_fanout) ops += repair_lost_fanout(network, c.from, pre_succ, c.to);
   return ops;
 }
 
@@ -222,9 +319,9 @@ int Rewirer::isolate_register_output(Rsn& network, ElemId reg) {
     if (te.kind == ElemKind::Mux && te.inputs.size() > 1) {
       network.remove_mux_input(to, port);
     } else {
-      std::vector<ElemId> pre_preds = network.reaching(to);
+      ElemId pre_pred = first_predecessor(network, to, reg);
       network.disconnect(to, port);
-      ops += repair_dangling_input(network, to, port, pre_preds, reg,
+      ops += repair_dangling_input(network, to, port, pre_pred, reg,
                                    rsn::no_elem);
     }
   }

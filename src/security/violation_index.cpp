@@ -174,8 +174,8 @@ HybridViolationIndex::trial_fanout_of(ElemId x, Scratch& s) const {
   return s.fanout_buf;
 }
 
-std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
-                                                 Scratch& s) const {
+std::size_t HybridViolationIndex::delta_analysis(
+    const Rsn& trial, const std::vector<ElemId>& edited, Scratch& s) const {
   count_delta_query();
   const std::size_t nodes = state_.size();
   const std::size_t elems =
@@ -203,14 +203,16 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
     s.epoch = 1;
   }
 
-  // 1. Input-list diff: changed consumers (elements whose input vector
-  //    differs, or that exist only in the trial), the drivers involved
-  //    on either side (endpoints — every element whose fanout differs
-  //    between the two structures has a representative among them), and
-  //    the trial-side fanout patch entries of the changed consumers.
+  // 1. Input-list diff of the edited elements (the only ones whose input
+  //    vectors can differ): changed consumers (elements whose input
+  //    vector differs, or that exist only in the trial), the drivers
+  //    involved on either side (endpoints — every element whose fanout
+  //    differs between the two structures has a representative among
+  //    them), and the trial-side fanout patch entries of the changed
+  //    consumers.
   s.endpoints.clear();
   s.fanout_adds.clear();
-  for (ElemId id = 0; id < elems; ++id) {
+  for (ElemId id : edited) {
     const std::vector<ElemId>* old_in =
         id < net_.num_elements() ? &net_.elem(id).inputs : nullptr;
     const std::vector<ElemId>* new_in =
@@ -234,8 +236,9 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
   std::sort(s.endpoints.begin(), s.endpoints.end());
   s.endpoints.erase(std::unique(s.endpoints.begin(), s.endpoints.end()),
                     s.endpoints.end());
-  // Consumers were scanned ascending (ports ascending within each), so a
-  // stable sort by source keeps each source's run in FanoutIndex order.
+  // Consumers were scanned ascending (journal_elements() is sorted; ports
+  // ascending within each), so a stable sort by source keeps each
+  // source's run in FanoutIndex order.
   std::stable_sort(s.fanout_adds.begin(), s.fanout_adds.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
@@ -474,13 +477,15 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
 }
 
 std::size_t HybridViolationIndex::eval_trial(const Rsn& trial,
+                                             const std::vector<ElemId>& edited,
                                              Scratch& scratch) const {
-  return delta_analysis(trial, scratch);
+  return delta_analysis(trial, edited, scratch);
 }
 
-void HybridViolationIndex::commit(const Rsn& network) {
+void HybridViolationIndex::commit(const Rsn& network,
+                                  const std::vector<ElemId>& edited) {
   Scratch& s = commit_scratch_;
-  const std::size_t new_pairs = delta_analysis(network, s);
+  const std::size_t new_pairs = delta_analysis(network, edited, s);
   for (std::size_t n : s.affected) {
     state_[n] = s.state[n];
     node_pairs_[n] = node_pair_count(n, state_[n]);
@@ -515,7 +520,7 @@ void HybridViolationIndex::commit(const Rsn& network) {
     rsn_succ_[e.first].push_back(e.second);
     rsn_pred_[e.second].push_back(e.first);
   }
-  net_ = network;
+  net_.sync_from(network, edited);
   // Re-index the committed fanout (once per applied change; trials never
   // pay for it — they patch this index instead).
   fanout_ = rsn::FanoutIndex(net_);
@@ -600,27 +605,11 @@ std::optional<HybridAnalyzer::Violation> HybridViolationIndex::find_violation()
 // ---------------------------------------------------------------------------
 // PureViolationIndex
 
-namespace {
-
-/// Element fanout (consumers per element, one entry per reading port) of
-/// `net` — the closure substrate PureViolationIndex keeps committed.
-std::vector<std::vector<ElemId>> build_elem_fanout(const Rsn& net) {
-  std::vector<std::vector<ElemId>> fanout(net.num_elements());
-  for (ElemId id = 0; id < net.num_elements(); ++id) {
-    for (ElemId in : net.elem(id).inputs)
-      if (in != rsn::no_elem) fanout[in].push_back(id);
-  }
-  return fanout;
-}
-
-}  // namespace
-
 PureViolationIndex::PureViolationIndex(const PureScanAnalyzer& analyzer,
                                        const Rsn& network)
-    : a_(analyzer), net_(network) {
+    : a_(analyzer), net_(network), fanout_(network) {
   count_index_rebuild();
   state_ = a_.propagate(net_);
-  fanout_ = build_elem_fanout(net_);
   reg_pairs_.assign(net_.num_elements(), 0);
   for (ElemId reg : net_.registers()) {
     TokenSet incoming;
@@ -648,8 +637,8 @@ std::size_t PureViolationIndex::violating_registers() const {
   return count;
 }
 
-std::size_t PureViolationIndex::delta_analysis(const Rsn& trial,
-                                               Scratch& s) const {
+std::size_t PureViolationIndex::delta_analysis(
+    const Rsn& trial, const std::vector<ElemId>& edited, Scratch& s) const {
   count_delta_query();
   const std::size_t n = trial.num_elements();
   if (s.state.size() < n) {
@@ -664,7 +653,8 @@ std::size_t PureViolationIndex::delta_analysis(const Rsn& trial,
   }
 
   // Affected = forward closure of the elements whose input lists changed
-  // (including elements that exist only in the trial). Everything else
+  // (including elements that exist only in the trial; all of them are
+  // among the edited elements). Everything else
   // keeps its committed attribute set: the propagation is a function of
   // the input lists and upstream values, both unchanged. The closure
   // expands over the *committed* fanout, which over-approximates: a
@@ -679,7 +669,7 @@ std::size_t PureViolationIndex::delta_analysis(const Rsn& trial,
     s.affected.push_back(id);
     s.stack.push_back(id);
   };
-  for (ElemId id = 0; id < n; ++id) {
+  for (ElemId id : edited) {
     if (id >= net_.num_elements() ||
         trial.elem(id).inputs != net_.elem(id).inputs)
       discover(id);
@@ -688,7 +678,7 @@ std::size_t PureViolationIndex::delta_analysis(const Rsn& trial,
     ElemId id = s.stack.back();
     s.stack.pop_back();
     if (id >= fanout_.size()) continue;  // trial-only: consumers are seeds
-    for (ElemId t : fanout_[id]) discover(t);
+    for (const auto& [t, port] : fanout_.of(id)) discover(t);
   }
 
   // Kahn order restricted to the affected subgraph: in-degrees and
@@ -745,13 +735,15 @@ std::size_t PureViolationIndex::delta_analysis(const Rsn& trial,
 }
 
 std::size_t PureViolationIndex::eval_trial(const Rsn& trial,
+                                           const std::vector<ElemId>& edited,
                                            Scratch& scratch) const {
-  return delta_analysis(trial, scratch);
+  return delta_analysis(trial, edited, scratch);
 }
 
-void PureViolationIndex::commit(const Rsn& network) {
+void PureViolationIndex::commit(const Rsn& network,
+                                const std::vector<ElemId>& edited) {
   Scratch& s = commit_scratch_;
-  const std::size_t new_pairs = delta_analysis(network, s);
+  const std::size_t new_pairs = delta_analysis(network, edited, s);
   if (state_.size() < network.num_elements())
     state_.resize(network.num_elements());
   if (reg_pairs_.size() < network.num_elements())
@@ -767,8 +759,8 @@ void PureViolationIndex::commit(const Rsn& network) {
         register_pair_count(network, static_cast<ElemId>(id), incoming);
   }
   pairs_ = new_pairs;
-  net_ = network;
-  fanout_ = build_elem_fanout(net_);
+  net_.sync_from(network, edited);
+  fanout_ = rsn::FanoutIndex(net_);
 }
 
 std::optional<PureViolation> PureViolationIndex::find_violation() const {

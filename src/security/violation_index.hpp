@@ -40,8 +40,9 @@ namespace rsnsec::security {
 ///
 /// eval_trial is const and touches only caller-owned scratch, so
 /// independent candidate cuts are evaluated concurrently (one scratch
-/// per thread/chunk); commit folds an applied change into the committed
-/// state.
+/// per trial workspace); commit folds an applied change into the
+/// committed state. Both take the edit's journal_elements() and diff
+/// only those elements' input lists against the committed network.
 class HybridViolationIndex {
  public:
   /// Builds the full index for `network` (one "index rebuild").
@@ -96,14 +97,24 @@ class HybridViolationIndex {
   };
 
   /// Violating-pair count of `trial`, a network derived from the
-  /// committed one by Rewirer edits, computed as a delta query against
-  /// the committed state. Thread-safe (const; all mutation in `scratch`).
-  std::size_t eval_trial(const rsn::Rsn& trial, Scratch& scratch) const;
+  /// committed one by journaled Rewirer edits (`edited` is the journal's
+  /// journal_elements(): a superset of the elements whose input lists
+  /// differ from the committed network, and every element created),
+  /// computed as a delta query against the committed state. Thread-safe
+  /// (const; all mutation in `scratch`).
+  std::size_t eval_trial(const rsn::Rsn& trial,
+                         const std::vector<rsn::ElemId>& edited,
+                         Scratch& scratch) const;
 
   /// Folds the applied change into the committed state: `network` is the
-  /// committed network after Rewirer edits. Incremental (same delta
-  /// machinery as eval_trial, then written back).
-  void commit(const rsn::Rsn& network);
+  /// committed network after journaled Rewirer edits, `edited` their
+  /// journal_elements(). Incremental (same delta machinery as
+  /// eval_trial, then written back).
+  void commit(const rsn::Rsn& network, const std::vector<rsn::ElemId>& edited);
+
+  /// Fanout of the committed network: the pre-cut fanout the Rewirer's
+  /// repairs read while a trial is applied.
+  const rsn::FanoutIndex& fanout() const { return fanout_; }
 
   /// HybridAnalyzer::find_violation of the committed network, answered
   /// from the committed fixpoint instead of a fresh propagation. The
@@ -146,7 +157,9 @@ class HybridViolationIndex {
   /// `s`: dirty registers, rebuilt chains, affected set (s.affected,
   /// valid s.state entries) and the resulting pair-count delta (returned
   /// added to pairs_).
-  std::size_t delta_analysis(const rsn::Rsn& trial, Scratch& s) const;
+  std::size_t delta_analysis(const rsn::Rsn& trial,
+                             const std::vector<rsn::ElemId>& edited,
+                             Scratch& s) const;
 };
 
 /// Incremental violation state of the pure-path analyzer: the committed
@@ -155,7 +168,8 @@ class HybridViolationIndex {
 /// exactly the elements whose input lists changed and their forward
 /// closure; everything upstream keeps its committed attribute set (the
 /// propagation is a function over a DAG, so the restriction argument is
-/// immediate). Same determinism contract as HybridViolationIndex.
+/// immediate). Same determinism and journal contract as
+/// HybridViolationIndex.
 class PureViolationIndex {
  public:
   PureViolationIndex(const PureScanAnalyzer& analyzer,
@@ -179,8 +193,13 @@ class PureViolationIndex {
     std::vector<rsn::ElemId> ready;
   };
 
-  std::size_t eval_trial(const rsn::Rsn& trial, Scratch& scratch) const;
-  void commit(const rsn::Rsn& network);
+  std::size_t eval_trial(const rsn::Rsn& trial,
+                         const std::vector<rsn::ElemId>& edited,
+                         Scratch& scratch) const;
+  void commit(const rsn::Rsn& network, const std::vector<rsn::ElemId>& edited);
+
+  /// See HybridViolationIndex::fanout.
+  const rsn::FanoutIndex& fanout() const { return fanout_; }
 
   /// PureScanAnalyzer::find_violation of the committed network, answered
   /// from the committed propagation (bit-identical witness).
@@ -192,16 +211,17 @@ class PureViolationIndex {
   std::vector<TokenSet> state_;         ///< out[] per element
   std::vector<std::size_t> reg_pairs_;  ///< per element (registers only)
   std::size_t pairs_ = 0;
-  /// Committed element fanout (consumers per element, duplicates per
-  /// port). Used only for the affected-set closure, where edges that a
+  /// Committed element fanout. In the affected-set closure, edges that a
   /// trial removed merely over-approximate (any trial-added edge has a
   /// changed consumer, which is a closure seed already).
-  std::vector<std::vector<rsn::ElemId>> fanout_;
+  rsn::FanoutIndex fanout_;
   Scratch commit_scratch_;
 
   std::size_t register_pair_count(const rsn::Rsn& net, rsn::ElemId reg,
                                   const TokenSet& incoming) const;
-  std::size_t delta_analysis(const rsn::Rsn& trial, Scratch& s) const;
+  std::size_t delta_analysis(const rsn::Rsn& trial,
+                             const std::vector<rsn::ElemId>& edited,
+                             Scratch& s) const;
 };
 
 }  // namespace rsnsec::security

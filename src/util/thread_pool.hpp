@@ -77,10 +77,10 @@ class ThreadPool {
   /// Chunk-granular variant of parallel_for: chunk_fn(chunk_begin,
   /// chunk_end, chunk_index) is called once per chunk of [begin, end),
   /// chunk_index running over [0, num_chunks). Use when the loop body
-  /// wants per-chunk scratch state (allocate once per chunk, reuse across
-  /// the chunk's iterations) instead of per-iteration state — e.g. the
-  /// violation-index candidate evaluation reuses one trial overlay per
-  /// chunk. Chunks may run concurrently and are claimed dynamically, so
+  /// wants per-chunk state (claimed or allocated once per chunk, reused
+  /// across the chunk's iterations) instead of per-iteration state — e.g.
+  /// the resolver's candidate trials claim one trial workspace per chunk.
+  /// Chunks may run concurrently and are claimed dynamically, so
   /// chunk_index is NOT a thread id: a thread may run many chunks, and
   /// which thread runs which chunk is scheduling-dependent.
   template <typename ChunkFn>

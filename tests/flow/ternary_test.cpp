@@ -145,6 +145,28 @@ TEST(TernaryEvaluator, DistinctGateReconvergenceNotProvedButSound) {
   EXPECT_FALSE(chk.depends_on(leaf_index(cone, x)));
 }
 
+TEST(TernaryEvaluator, CaseSplitProvesAbsorption) {
+  // t.D = OR(AND(x, a), a) == a. The pair domain folds AND(x, a) to
+  // "maybe differs" and cannot see the absorption; splitting on a can:
+  // with a = 0 the root is 0, with a = 1 it is 1, for either x.
+  Netlist nl;
+  NodeId x = nl.add_ff("x");
+  NodeId a = nl.add_ff("a");
+  NodeId t = nl.add_ff("t");
+  nl.set_ff_input(
+      t, nl.add_gate(GateType::Or, {nl.add_gate(GateType::And, {x, a}), a}));
+  nl.set_ff_input(x, x);
+  nl.set_ff_input(a, a);
+  Cone cone = nl.extract_next_state_cone(t);
+  TernaryEvaluator ev(nl);
+  EXPECT_FALSE(ev.proves_independent(cone, leaf_index(cone, x)));
+  EXPECT_TRUE(ev.proves_independent_by_cases(cone, leaf_index(cone, x), 1));
+  EXPECT_FALSE(ev.proves_independent_by_cases(cone, leaf_index(cone, x), 0));
+  EXPECT_FALSE(ev.proves_independent_by_cases(cone, leaf_index(cone, a), 1));
+  netlist::ConeDependenceChecker chk(nl, cone);
+  EXPECT_FALSE(chk.depends_on(leaf_index(cone, x)));
+}
+
 TEST(TernaryEvaluator, XorTripleOccurrenceKeepsDependence) {
   // XOR(x, x, x) == x: parity dedupe over three occurrences must leave
   // one live.
@@ -250,6 +272,30 @@ TEST(TernaryEvaluator, ProofImpliesSatUnsatOnRandomCones) {
   // The sweep must exercise the proof path, not just the fall-through.
   EXPECT_GT(proved, 50u);
   EXPECT_GT(queried, proved);
+}
+
+TEST(TernaryEvaluator, CaseSplitIsExactOnSmallCones) {
+  // With every other leaf fixed, the tested leaf is the only free input,
+  // so each signal holds exactly one pair and the evaluation is exact:
+  // on cones within the split bound (these have at most 5 leaves), the
+  // case-split answer for a flip-flop leaf must equal the SAT-complete
+  // checker's, in both directions.
+  Rng rng(20261018);
+  std::size_t independent = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    RandomCone rc = make_random_cone(rng);
+    TernaryEvaluator ev(rc.nl);
+    netlist::ConeDependenceChecker chk(rc.nl, rc.cone);
+    for (std::size_t i = 0; i < rc.cone.leaves.size(); ++i) {
+      // Constant leaves cannot vary; the analyses only query FF leaves.
+      if (!rc.nl.is_ff(rc.cone.leaves[i])) continue;
+      const bool proved = ev.proves_independent_by_cases(rc.cone, i, 4);
+      EXPECT_EQ(proved, !chk.depends_on(i))
+          << "cone " << iter << ", leaf " << i;
+      independent += proved;
+    }
+  }
+  EXPECT_GT(independent, 50u);
 }
 
 }  // namespace

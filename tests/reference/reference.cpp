@@ -152,6 +152,131 @@ void expect_matches(const dep::DependencyAnalyzer& a, const DepResult& ref,
   EXPECT_EQ(s.closure_path_deps, ref.closure.count_path()) << label;
 }
 
+namespace {
+
+int repair_dangling_input(Rsn& network, ElemId to, std::size_t port,
+                          const std::vector<ElemId>& pre_preds, ElemId avoid,
+                          ElemId hint) {
+  if (hint != rsn::no_elem && hint != avoid && hint != to &&
+      network.elem(hint).kind != ElemKind::ScanOut) {
+    network.connect(hint, to, port);
+    if (network.is_acyclic()) return 1;
+    network.disconnect(to, port);
+  }
+  for (ElemId cand : pre_preds) {
+    if (cand == avoid || cand == to) continue;
+    if (network.elem(cand).kind == ElemKind::ScanOut) continue;
+    network.connect(cand, to, port);
+    if (network.is_acyclic()) return 1;
+    network.disconnect(to, port);
+  }
+  network.connect(network.scan_in(), to, port);
+  return 1;
+}
+
+int attach_to_scan_out_avoiding(Rsn& network, ElemId from, ElemId avoid) {
+  ElemId driver = network.elem(network.scan_out()).inputs[0];
+  if (driver == avoid && driver != rsn::no_elem) {
+    ElemId m = network.add_mux(
+        "collect_mux_" + std::to_string(network.num_elements()), 2);
+    network.connect(driver, m, 0);
+    network.connect(from, m, 1);
+    network.connect(m, network.scan_out(), 0);
+    return 2;
+  }
+  ElemId created = network.attach_to_scan_out(from);
+  return created == rsn::no_elem ? 1 : 2;
+}
+
+int repair_lost_fanout(Rsn& network, ElemId from,
+                       const std::vector<ElemId>& pre_succs, ElemId avoid) {
+  for (ElemId cand : pre_succs) {
+    if (cand == avoid || cand == from) continue;
+    const rsn::Element& e = network.elem(cand);
+    if (e.kind == ElemKind::Mux) {
+      network.add_mux_input(cand, from);
+      if (network.is_acyclic()) return 1;
+      network.remove_mux_input(cand, network.elem(cand).inputs.size() - 1);
+      continue;
+    }
+    if (e.kind == ElemKind::Register) {
+      ElemId old_driver = e.inputs[0];
+      if (old_driver == rsn::no_elem) {
+        network.connect(from, cand, 0);
+        if (network.is_acyclic()) return 1;
+        network.disconnect(cand, 0);
+        continue;
+      }
+      ElemId m = network.add_mux(
+          "repair_mux_" + std::to_string(network.num_elements()), 2);
+      network.connect(old_driver, m, 0);
+      network.connect(from, m, 1);
+      network.connect(m, cand, 0);
+      if (network.is_acyclic()) return 2;
+      // Roll back; the fresh mux stays allocated but unconnected.
+      network.disconnect(m, 0);
+      network.disconnect(m, 1);
+      network.connect(old_driver, cand, 0);
+    }
+  }
+  return attach_to_scan_out_avoiding(network, from, avoid);
+}
+
+}  // namespace
+
+bool cut_is_hint_insensitive(const Rsn& network, const Connection& c) {
+  const rsn::Element& to_elem = network.elem(c.to);
+  if (to_elem.kind != ElemKind::Mux || to_elem.inputs.size() <= 1)
+    return false;
+  return !(network.elem(c.from).kind != ElemKind::ScanIn &&
+           network.fanouts(c.from).size() == 1);
+}
+
+int cut_connection(Rsn& network, const Connection& c, ElemId reconnect_hint) {
+  if (network.elem(c.to).inputs.at(c.port) != c.from)
+    throw std::logic_error("reference cut of a missing connection");
+  int ops = 1;
+  const rsn::Element& to_elem = network.elem(c.to);
+  const bool mux_shrink =
+      to_elem.kind == ElemKind::Mux && to_elem.inputs.size() > 1;
+  const bool loses_fanout = network.elem(c.from).kind != ElemKind::ScanIn &&
+                            network.fanouts(c.from).size() == 1;
+  std::vector<ElemId> pre_preds, pre_succs;
+  if (!mux_shrink) pre_preds = network.reaching(c.to);
+  if (loses_fanout) pre_succs = network.reachable_from(c.from);
+  if (mux_shrink) {
+    network.remove_mux_input(c.to, c.port);
+  } else {
+    network.disconnect(c.to, c.port);
+    ops += repair_dangling_input(network, c.to, c.port, pre_preds, c.from,
+                                 reconnect_hint);
+  }
+  if (loses_fanout) ops += repair_lost_fanout(network, c.from, pre_succs, c.to);
+  return ops;
+}
+
+int isolate_register_output(Rsn& network, ElemId reg) {
+  int ops = 0;
+  for (;;) {
+    auto fo = network.fanouts(reg);
+    if (fo.empty()) break;
+    auto [to, port] = fo.front();
+    const rsn::Element& te = network.elem(to);
+    ++ops;
+    if (te.kind == ElemKind::Mux && te.inputs.size() > 1) {
+      network.remove_mux_input(to, port);
+    } else {
+      std::vector<ElemId> pre_preds = network.reaching(to);
+      network.disconnect(to, port);
+      ops += repair_dangling_input(network, to, port, pre_preds, reg,
+                                   rsn::no_elem);
+    }
+  }
+  network.attach_to_scan_out(reg);
+  ++ops;
+  return ops;
+}
+
 Rewirer::Selection select_cut(
     const Rsn& network, const std::vector<Connection>& candidates,
     const std::function<std::size_t(const Rsn&)>& count_pairs,
@@ -161,10 +286,10 @@ Rewirer::Selection select_cut(
     std::vector<ElemId> hints{rsn::no_elem, network.scan_in()};
     if (policy == ResolutionPolicy::PreferScanIn)
       std::swap(hints[0], hints[1]);
-    if (Rewirer::cut_is_hint_insensitive(network, c)) hints.resize(1);
+    if (cut_is_hint_insensitive(network, c)) hints.resize(1);
     for (ElemId hint : hints) {
       Rsn trial = network;
-      int ops = Rewirer::cut_connection(trial, c, hint);
+      int ops = cut_connection(trial, c, hint);
       std::size_t pairs = count_pairs(trial);
       if (pairs >= current_pairs) continue;
       if (policy != ResolutionPolicy::BestGlobal)
@@ -211,7 +336,7 @@ ResolveStats resolve_from_scratch(const std::string& stage,
       change.kind = AppliedChange::Kind::CutConnection;
       change.cut = sel.cut;
       change.rewire_operations =
-          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
+          cut_connection(network, sel.cut, sel.reconnect_hint);
       change.note = stage + ": cut " + network.elem(sel.cut.from).name +
                     " -> " + network.elem(sel.cut.to).name;
       cur_pairs = sel.residual_pairs;
@@ -219,8 +344,7 @@ ResolveStats resolve_from_scratch(const std::string& stage,
       ElemId iso = isolation_target(*v, network);
       change.kind = AppliedChange::Kind::IsolateRegister;
       change.isolated = iso;
-      change.rewire_operations =
-          Rewirer::isolate_register_output(network, iso);
+      change.rewire_operations = isolate_register_output(network, iso);
       change.note = stage + ": isolate " + network.elem(iso).name;
       ++stats.fallback_isolations;
       cur_pairs = count(network);

@@ -11,9 +11,15 @@
 //    capture cone is classified by a fresh ConeDependenceChecker per
 //    query; internal flip-flops are bridged and the relation closed with
 //    the dense DepMatrix kernels.
+//  - Rewiring: the Sec. III-D repair rules as first written — a network
+//    copy per trial, a whole-network is_acyclic() after every tentative
+//    connection, and Rsn::reachable_from / Rsn::fanouts for the pre-cut
+//    successor queries — independent of the journaled, fanout-indexed
+//    production Rewirer.
 //  - Resolution: the pure and hybrid detect-and-resolve loops recompute
 //    find_violation / count_violating_pairs from scratch every iteration
-//    and select cuts with a sequential trial loop.
+//    and select cuts with a sequential trial loop over the reference
+//    rewiring.
 
 #include <functional>
 #include <string>
@@ -55,11 +61,27 @@ DepResult analyze(const netlist::Netlist& nl, const rsn::Rsn& network,
 void expect_matches(const dep::DependencyAnalyzer& a, const DepResult& ref,
                     const rsn::Rsn& network, const std::string& label);
 
+// ---------------------------------------------------------------- rewiring
+
+/// Reference Rewirer::cut_connection: same repair rules and results, each
+/// tentative connection checked with Rsn::is_acyclic() on the whole
+/// network, pre-cut successors from Rsn::reachable_from.
+int cut_connection(rsn::Rsn& network, const security::Connection& c,
+                   rsn::ElemId reconnect_hint = rsn::no_elem);
+
+/// Reference Rewirer::cut_is_hint_insensitive (Rsn::fanouts-based).
+bool cut_is_hint_insensitive(const rsn::Rsn& network,
+                             const security::Connection& c);
+
+/// Reference Rewirer::isolate_register_output.
+int isolate_register_output(rsn::Rsn& network, rsn::ElemId reg);
+
 // -------------------------------------------------------------- resolution
 
 /// Sequential trial loop over every (cut, reconnect) candidate in nested
-/// (candidate, hint) order, counting each trial network's violating pairs
-/// from scratch with `count_pairs`. Same policy semantics as
+/// (candidate, hint) order: each trial cuts a fresh copy of `network`
+/// with the reference cut_connection and counts its violating pairs from
+/// scratch with `count_pairs`. Same policy semantics as
 /// Rewirer::select_cut_parallel.
 security::Rewirer::Selection select_cut(
     const rsn::Rsn& network,

@@ -52,6 +52,40 @@ TEST(RsnIo, RoundTripPreservesValidation) {
   EXPECT_TRUE(back.network.validate(&err)) << err;
 }
 
+TEST(RsnIo, RoundTripsOneInputMux) {
+  // The resolver shrinks muxes with remove_mux_input, down to a single
+  // port; what write_rsn emits for such a network must read back.
+  RsnDocument doc = make_doc();
+  Rsn& net = doc.network;
+  ElemId m = net.muxes().front();
+  net.remove_mux_input(m, 1);
+  ElemId r2 = net.registers()[1];
+  ElemId m2 = net.add_mux("m2", 2);
+  net.connect(r2, m2, 0);
+  net.connect(m, m2, 1);
+  net.connect(m2, net.scan_out(), 0);
+  ASSERT_EQ(net.elem(m).inputs.size(), 1u);
+  ASSERT_TRUE(net.validate());
+
+  std::ostringstream os;
+  write_rsn(os, net, doc.module_names);
+  ASSERT_NE(os.str().find("mux m inputs 1\n"), std::string::npos);
+  std::istringstream is(os.str());
+  RsnDocument back = read_rsn(is);
+  EXPECT_EQ(back.network.elem(back.network.muxes().front()).inputs.size(),
+            1u);
+  std::string err;
+  EXPECT_TRUE(back.network.validate(&err)) << err;
+  std::ostringstream os2;
+  write_rsn(os2, back.network, back.module_names);
+  EXPECT_EQ(os.str(), os2.str());
+}
+
+TEST(RsnIo, RejectsZeroInputMux) {
+  std::istringstream is("rsn x\nmux m inputs 0\n");
+  EXPECT_THROW(read_rsn(is), std::runtime_error);
+}
+
 TEST(RsnIo, ParsesCommentsAndBlankLines) {
   std::istringstream is(
       "# a comment\n"

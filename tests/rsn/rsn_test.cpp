@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "rsn/io.hpp"
 
 namespace rsnsec::rsn {
 namespace {
@@ -170,6 +176,59 @@ TEST(Rsn, CopySemanticsSnapshotTopology) {
   copy.disconnect(s.r3, 0);
   EXPECT_EQ(s.net.elem(s.r3).inputs[0], s.mux);  // original untouched
   EXPECT_EQ(copy.elem(s.r3).inputs[0], no_elem);
+}
+
+/// Structure, selects and the auto-mux counter of `net`, as text: the
+/// write_rsn bytes plus every mux select, plus the name the next
+/// collector mux would get.
+std::string snapshot(const Rsn& net) {
+  std::ostringstream os;
+  write_rsn(os, net, {}, nullptr);
+  for (ElemId m : net.muxes()) os << "sel " << net.mux_select(m) << "\n";
+  Rsn probe = net;
+  ElemId r = probe.add_register("probe", 1);
+  ElemId c = probe.attach_to_scan_out(r);
+  if (c != no_elem) os << "next " << probe.elem(c).name << "\n";
+  return os.str();
+}
+
+TEST(Rsn, JournalRollbackRestoresEveryEdit) {
+  SmallNet s;
+  s.net.set_mux_select(s.mux, 1);
+  const std::string before = snapshot(s.net);
+  s.net.begin_journal();
+  EXPECT_TRUE(s.net.journal_open());
+  s.net.disconnect(s.r3, 0);
+  s.net.connect(s.r1, s.r3, 0);
+  s.net.remove_mux_input(s.mux, 1);  // clamps the select
+  s.net.add_mux_input(s.mux, s.r2);
+  ElemId extra = s.net.add_mux("extra", 2);
+  s.net.connect(s.r3, extra, 0);
+  s.net.attach_to_scan_out(s.r2);  // inserts an auto-named collector
+  EXPECT_THROW(s.net.begin_journal(), std::logic_error);
+  const std::vector<ElemId>& edited = s.net.journal_elements();
+  EXPECT_TRUE(std::is_sorted(edited.begin(), edited.end()));
+  EXPECT_EQ(std::adjacent_find(edited.begin(), edited.end()), edited.end());
+  for (ElemId id : {s.r3, s.mux, extra, s.net.scan_out()})
+    EXPECT_TRUE(std::binary_search(edited.begin(), edited.end(), id)) << id;
+  s.net.rollback_journal();
+  EXPECT_FALSE(s.net.journal_open());
+  EXPECT_EQ(snapshot(s.net), before);
+  EXPECT_EQ(s.net.num_elements(), 6u);
+  EXPECT_EQ(s.net.muxes().size(), 1u);
+}
+
+TEST(Rsn, SyncFromReplaysAJournaledEdit) {
+  SmallNet s;
+  Rsn copy = s.net;
+  s.net.begin_journal();
+  s.net.remove_mux_input(s.mux, 0);
+  s.net.attach_to_scan_out(s.r1);
+  const std::vector<ElemId> edited = s.net.journal_elements();
+  s.net.close_journal();
+  copy.sync_from(s.net, edited);
+  EXPECT_EQ(snapshot(copy), snapshot(s.net));
+  EXPECT_EQ(copy.muxes(), s.net.muxes());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Randomized delta-vs-rebuild property tests of the violation indexes:
-// starting from a generated workload, apply random cut_connection edits
-// and check after every step that
+// starting from a generated workload, apply random journaled
+// cut_connection edits and check after every step that
 //   - eval_trial on an uncommitted trial equals a from-scratch
 //     count_violating_pairs of that trial,
 //   - after commit, pairs() equals the from-scratch count and
@@ -56,6 +56,19 @@ void expect_same_violation(
   EXPECT_EQ(a->rsn_connections, b->rsn_connections) << "step " << step;
 }
 
+/// Applies the cut to the committed network under a journal, as the
+/// resolution loop does, and folds it into the index and the workspace.
+template <typename Index>
+void commit_cut(rsn::Rsn& net, rsn::Rsn& work, Index& index,
+                const Connection& c, rsn::ElemId hint) {
+  net.begin_journal();
+  Rewirer::cut_connection(net, index.fanout(), c, hint);
+  const std::vector<rsn::ElemId> edited = net.journal_elements();
+  net.close_journal();
+  index.commit(net, edited);
+  work.sync_from(net, edited);
+}
+
 class IndexFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(IndexFuzz, HybridDeltaMatchesRebuild) {
@@ -72,25 +85,29 @@ TEST_P(IndexFuzz, HybridDeltaMatchesRebuild) {
             hybrid.count_violating_registers(net));
 
   HybridViolationIndex::Scratch scratch;
+  rsn::Rsn work = net;
   Rng rng(0x77700ULL + GetParam());
   for (int step = 0; step < 10; ++step) {
     std::vector<Connection> conns = Rewirer::all_connections(net);
     if (conns.empty()) break;
     // Evaluate several uncommitted trials against the same committed
-    // state (as the candidate loop does), then commit the last one.
-    rsn::Rsn chosen = net;
+    // state on a journaled workspace (as the candidate loop does), then
+    // commit the last one.
+    Connection chosen;
+    rsn::ElemId chosen_hint = rsn::no_elem;
     for (int t = 0; t < 3; ++t) {
       const Connection& c = rng.pick(conns);
       rsn::ElemId hint = rng.chance(0.5) ? net.scan_in() : rsn::no_elem;
-      rsn::Rsn trial = net;
-      Rewirer::cut_connection(trial, c, hint);
-      ASSERT_EQ(index.eval_trial(trial, scratch),
-                hybrid.count_violating_pairs(trial))
+      work.begin_journal();
+      Rewirer::cut_connection(work, index.fanout(), c, hint);
+      ASSERT_EQ(index.eval_trial(work, work.journal_elements(), scratch),
+                hybrid.count_violating_pairs(work))
           << "step " << step << " trial " << t;
-      chosen = trial;
+      work.rollback_journal();
+      chosen = c;
+      chosen_hint = hint;
     }
-    net = chosen;
-    index.commit(net);
+    commit_cut(net, work, index, chosen, chosen_hint);
     ASSERT_EQ(index.pairs(), hybrid.count_violating_pairs(net))
         << "step " << step;
     ASSERT_EQ(index.violating_registers(),
@@ -113,23 +130,26 @@ TEST_P(IndexFuzz, PureDeltaMatchesRebuild) {
             pure.count_violating_registers(net));
 
   PureViolationIndex::Scratch scratch;
+  rsn::Rsn work = net;
   Rng rng(0x12345ULL + GetParam());
   for (int step = 0; step < 10; ++step) {
     std::vector<Connection> conns = Rewirer::all_connections(net);
     if (conns.empty()) break;
-    rsn::Rsn chosen = net;
+    Connection chosen;
+    rsn::ElemId chosen_hint = rsn::no_elem;
     for (int t = 0; t < 3; ++t) {
       const Connection& c = rng.pick(conns);
       rsn::ElemId hint = rng.chance(0.5) ? net.scan_in() : rsn::no_elem;
-      rsn::Rsn trial = net;
-      Rewirer::cut_connection(trial, c, hint);
-      ASSERT_EQ(index.eval_trial(trial, scratch),
-                pure.count_violating_pairs(trial))
+      work.begin_journal();
+      Rewirer::cut_connection(work, index.fanout(), c, hint);
+      ASSERT_EQ(index.eval_trial(work, work.journal_elements(), scratch),
+                pure.count_violating_pairs(work))
           << "step " << step << " trial " << t;
-      chosen = trial;
+      work.rollback_journal();
+      chosen = c;
+      chosen_hint = hint;
     }
-    net = chosen;
-    index.commit(net);
+    commit_cut(net, work, index, chosen, chosen_hint);
     ASSERT_EQ(index.pairs(), pure.count_violating_pairs(net))
         << "step " << step;
     ASSERT_EQ(index.violating_registers(),
