@@ -37,11 +37,7 @@ int main() {
     for (int ci = 0; ci < opt.circuits_per_benchmark; ++ci) {
       bench::Instance inst = bench::make_instance(name, opt, ci);
       for (int si = 0; si < opt.specs_per_circuit; ++si) {
-        Rng spec_rng(opt.base_seed * 104729 +
-                     static_cast<std::uint64_t>(ci) * 1000 +
-                     static_cast<std::uint64_t>(si));
-        security::SecuritySpec spec = benchgen::random_spec(
-            inst.doc.module_names.size(), opt.spec, spec_rng);
+        security::SecuritySpec spec = bench::make_spec(inst, opt, ci, si);
 
         rsn::Rsn net_exact = inst.doc.network;
         SecureFlowTool exact(inst.circuit, net_exact, spec, {});

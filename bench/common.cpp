@@ -120,6 +120,14 @@ Instance make_instance(const std::string& name, const SweepOptions& opt,
   return inst;
 }
 
+security::SecuritySpec make_spec(const Instance& inst, const SweepOptions& opt,
+                                 int circuit_idx, int spec_idx) {
+  Rng rng(opt.base_seed * 104729 +
+          static_cast<std::uint64_t>(circuit_idx) * 1000 +
+          static_cast<std::uint64_t>(spec_idx));
+  return benchgen::random_spec(inst.doc.module_names.size(), opt.spec, rng);
+}
+
 BenchRow run_benchmark(const std::string& name, const SweepOptions& opt) {
   RowAccumulator acc(name);
   ThreadPool pool(ThreadPool::resolve_num_threads(opt.jobs));
@@ -162,11 +170,8 @@ BenchRow run_benchmark(const std::string& name, const SweepOptions& opt) {
         const std::size_t ci = t / specs;
         const std::size_t si = t % specs;
         const Instance& inst = instances[ci];
-        Rng spec_rng(opt.base_seed * 104729 +
-                     static_cast<std::uint64_t>(ci) * 1000 +
-                     static_cast<std::uint64_t>(si));
-        security::SecuritySpec spec = benchgen::random_spec(
-            inst.doc.module_names.size(), opt.spec, spec_rng);
+        security::SecuritySpec spec = make_spec(
+            inst, opt, static_cast<int>(ci), static_cast<int>(si));
         // Each spec run transforms a fresh copy of the network.
         rsn::Rsn network = inst.doc.network;
         SecureFlowTool tool(inst.circuit, network, spec, popt);

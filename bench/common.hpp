@@ -62,6 +62,11 @@ struct Instance {
 Instance make_instance(const std::string& name, const SweepOptions& opt,
                        int circuit_idx);
 
+/// Specification `spec_idx` for instance `circuit_idx`: the one spec
+/// recipe of every harness, seeded from (base seed, circuit, spec).
+security::SecuritySpec make_spec(const Instance& inst, const SweepOptions& opt,
+                                 int circuit_idx, int spec_idx);
+
 /// Published Table I reference values for side-by-side printing.
 struct PaperRow {
   const char* name;

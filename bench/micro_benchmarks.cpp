@@ -1,7 +1,8 @@
 // Engineering micro-benchmarks (not from the paper): throughput of the
 // substrates that dominate the Table I runtimes — the SAT solver, the
 // cone dependence check, the multi-cycle closure and the security
-// propagations.
+// propagations. The attack, scale and serve suites of the same binary
+// live in system_benchmarks.cpp.
 
 #include <benchmark/benchmark.h>
 
@@ -243,15 +244,6 @@ void BM_CsuShiftCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CsuShiftCycle);
-
-void BM_RsnCopyForTrial(benchmark::State& state) {
-  Workload w;
-  for (auto _ : state) {
-    rsn::Rsn copy = w.doc.network;
-    benchmark::DoNotOptimize(copy.num_elements());
-  }
-}
-BENCHMARK(BM_RsnCopyForTrial);
 
 void BM_AccessPlanning(benchmark::State& state) {
   Workload w;

@@ -352,6 +352,50 @@ class Parser {
 
 // ----------------------------------------------------------- elaborator
 
+/// Sizes a module's elaboration in kDocumentBudget units: scan FFs plus
+/// mux ports plus elements, with one element per instance, saturated just
+/// above the budget. Each module is sized once, so an exponential
+/// instance fan-out costs linear time here and is rejected before the
+/// elaborator allocates anything. An instantiation cycle or a nesting
+/// deeper than kMaxDepth, either of which would make the elaborator
+/// recurse until the stack overflows, is an error. Unknown child modules
+/// are left to the elaborator to report.
+class SizeEstimator {
+ public:
+  static constexpr std::size_t kMaxDepth = 1024;
+
+  explicit SizeEstimator(const Document& doc) : doc_(doc) {}
+
+  std::uint64_t size(const ModuleDecl& mod) {
+    if (auto it = sizes_.find(&mod); it != sizes_.end()) return it->second;
+    if (!active_.insert(&mod).second)
+      throw std::runtime_error(
+          "icl elaborate: instantiation cycle through module '" + mod.name +
+          "'");
+    if (active_.size() > kMaxDepth)
+      throw std::runtime_error("icl elaborate: instances nested deeper than " +
+                               std::to_string(kMaxDepth) + " levels");
+    std::uint64_t total = 1;
+    auto add = [&](std::uint64_t units) {
+      total = std::min(total + units, kDocumentBudget + 1);
+    };
+    for (const ScanRegisterDecl& r : mod.registers) add(r.width + 1);
+    for (const ScanMuxDecl& m : mod.muxes) add(m.inputs.size() + 1);
+    for (const InstanceDecl& i : mod.instances) {
+      auto child = doc_.modules.find(i.of_module);
+      if (child != doc_.modules.end()) add(size(child->second));
+    }
+    active_.erase(&mod);
+    sizes_.emplace(&mod, total);
+    return total;
+  }
+
+ private:
+  const Document& doc_;
+  std::map<const ModuleDecl*, std::uint64_t> sizes_;
+  std::set<const ModuleDecl*> active_;
+};
+
 class Elaborator {
  public:
   Elaborator(const Document& doc, RsnDocument& out)
@@ -495,6 +539,10 @@ RsnDocument elaborate(const Document& doc, const std::string& top_name) {
       throw std::runtime_error("icl: unknown top module '" + top_name + "'");
     top = &it->second;
   }
+  if (SizeEstimator(doc).size(*top) > kDocumentBudget)
+    throw std::runtime_error("icl elaborate: design exceeds " +
+                             std::to_string(kDocumentBudget) +
+                             " scan FFs, mux ports and elements");
   RsnDocument out;
   out.network = Rsn(top->name);
   Elaborator el(doc, out);

@@ -92,7 +92,6 @@ RsnDocument read_rsn(std::istream& is) {
   // number in a hostile file is a line-numbered parse error, never an
   // uncaught std::sto* exception or a multi-gigabyte allocation.
   constexpr std::uint64_t kMaxIndex = 1u << 20;   // modules, ports, ffs
-  constexpr std::uint64_t kMaxCount = 1u << 22;   // ffs/inputs per element
   auto parse_num = [&](const std::string& tok, const char* what,
                        std::uint64_t max) -> std::uint64_t {
     std::optional<std::uint64_t> v = parse_u64(tok);
@@ -103,6 +102,16 @@ RsnDocument read_rsn(std::istream& is) {
       throw fail(std::string(what) + " " + tok + " out of range (max " +
                  std::to_string(max) + ")");
     return *v;
+  };
+  // Every register and mux is charged its FFs or ports plus one element
+  // before it is created, so many in-range lines cannot add up to a
+  // multi-gigabyte network either.
+  std::uint64_t budget_left = kDocumentBudget;
+  auto charge = [&](std::uint64_t units) {
+    if (units > budget_left)
+      throw fail("document exceeds " + std::to_string(kDocumentBudget) +
+                 " scan FFs, mux ports and elements");
+    budget_left -= units;
   };
 
   while (std::getline(is, line)) {
@@ -130,7 +139,7 @@ RsnDocument read_rsn(std::istream& is) {
         throw fail("expected: register <name> ffs <n> module <index>");
       if (!named) throw fail("missing rsn header");
       auto n = static_cast<std::size_t>(
-          parse_num(tok[3], "scan FF count", kMaxCount));
+          parse_num(tok[3], "scan FF count", kDocumentBudget));
       // "module -1" marks an unowned register (write_rsn emits it for
       // registers without a module).
       netlist::ModuleId mod =
@@ -139,6 +148,7 @@ RsnDocument read_rsn(std::istream& is) {
               : static_cast<netlist::ModuleId>(
                     parse_num(tok[5], "module index", kMaxIndex));
       if (by_name.count(tok[1])) throw fail("duplicate element name");
+      charge(n + 1);
       try {
         by_name[tok[1]] = doc.network.add_register(tok[1], n, mod);
       } catch (const std::exception& e) {
@@ -149,9 +159,10 @@ RsnDocument read_rsn(std::istream& is) {
         throw fail("expected: mux <name> inputs <k>");
       if (!named) throw fail("missing rsn header");
       auto k = static_cast<std::size_t>(
-          parse_num(tok[3], "mux input count", kMaxCount));
+          parse_num(tok[3], "mux input count", kDocumentBudget));
       if (by_name.count(tok[1])) throw fail("duplicate element name");
       if (k == 0) throw fail("mux needs >= 1 input");
+      charge(k + 1);
       // add_mux requires >= 2 ports, but a mux shrunk to one port by
       // remove_mux_input is legal in a live network (the resolver leaves
       // such muxes behind): create with two and drop the extra one, as

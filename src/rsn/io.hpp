@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -53,8 +54,15 @@ void write_rsn(std::ostream& os, const Rsn& network,
 void apply_attachments(RsnDocument& doc,
                        const std::map<std::string, netlist::NodeId>& nets);
 
+/// Size budget of one document read from text (read_rsn, icl::elaborate):
+/// scan FFs plus mux ports plus elements. It is 35x the largest generated
+/// design (MBIST_307_4_4, 117k scan FFs), so a hostile file that asks for
+/// more is rejected before anything is allocated for it.
+inline constexpr std::uint64_t kDocumentBudget = 1u << 22;
+
 /// Parses the format produced by write_rsn. Throws std::runtime_error with
-/// a line-numbered message on malformed input.
+/// a line-numbered message on malformed input, including a document over
+/// kDocumentBudget.
 RsnDocument read_rsn(std::istream& is);
 
 /// Renders a one-line summary ("name: R registers, F scan FFs, M muxes").

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "rsn/access.hpp"
 
@@ -186,6 +187,80 @@ Module Top {
 }
 )");
   EXPECT_THROW(load_icl(is), std::runtime_error);
+}
+
+std::string load_error(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    load_icl(is);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(IclElaborate, RejectsRegisterWidthOverDocumentBudget) {
+  std::string err = load_error(R"(
+Module M {
+  ScanInPort SI;
+  ScanOutPort SO { Source R; }
+  ScanRegister R[4000000000:0] { ScanInSource SI; }
+}
+)");
+  EXPECT_NE(err.find("icl elaborate: design exceeds 4194304"),
+            std::string::npos)
+      << err;
+}
+
+TEST(IclElaborate, RejectsExponentialInstanceFanOut) {
+  // 30 levels, each instantiating the level below twice: 2^30 leaf
+  // registers from a few kilobytes of text. The size check runs once per
+  // module, before anything is elaborated.
+  std::string text =
+      "Module L0 { ScanInPort SI; ScanOutPort SO { Source R; }\n"
+      "  ScanRegister R[7:0] { ScanInSource SI; } }\n";
+  for (int i = 1; i <= 30; ++i) {
+    const std::string child = "L" + std::to_string(i - 1);
+    text += "Module L" + std::to_string(i) +
+            " { ScanInPort SI; ScanOutPort SO { Source b; }\n"
+            "  Instance a Of " + child + " { InputPort SI = SI; }\n"
+            "  Instance b Of " + child + " { InputPort SI = a; } }\n";
+  }
+  std::string err = load_error(text);
+  EXPECT_NE(err.find("icl elaborate: design exceeds"), std::string::npos)
+      << err;
+}
+
+TEST(IclElaborate, RejectsInstantiationCycleBelowTop) {
+  // Top is well defined (nothing instantiates it), but A and B
+  // instantiate each other; elaborating them would never terminate.
+  std::string err = load_error(R"(
+Module A { ScanInPort SI; ScanOutPort SO { Source x; }
+  Instance x Of B { InputPort SI = SI; } }
+Module B { ScanInPort SI; ScanOutPort SO { Source x; }
+  Instance x Of A { InputPort SI = SI; } }
+Module Top { ScanInPort SI; ScanOutPort SO { Source a; }
+  Instance a Of A { InputPort SI = SI; } }
+)");
+  EXPECT_NE(err.find("icl elaborate: instantiation cycle"), std::string::npos)
+      << err;
+}
+
+TEST(IclElaborate, RejectsNestingDeeperThanTheStackAllows) {
+  // A chain of 2000 modules, each instantiating the previous one: within
+  // the size budget, but elaborating it would recurse 2000 levels deep.
+  std::string text =
+      "Module L0 { ScanInPort SI; ScanOutPort SO { Source R; }\n"
+      "  ScanRegister R { ScanInSource SI; } }\n";
+  for (int i = 1; i <= 2000; ++i)
+    text += "Module L" + std::to_string(i) +
+            " { ScanInPort SI; ScanOutPort SO { Source a; }\n"
+            "  Instance a Of L" + std::to_string(i - 1) +
+            " { InputPort SI = SI; } }\n";
+  std::string err = load_error(text);
+  EXPECT_NE(err.find("icl elaborate: instances nested deeper than 1024"),
+            std::string::npos)
+      << err;
 }
 
 TEST(IclElaborate, MuxPortOrderFollowsSelectValues) {

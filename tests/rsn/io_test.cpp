@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace rsnsec::rsn {
 namespace {
@@ -127,6 +128,42 @@ TEST(RsnIo, RejectsMissingHeader) {
 TEST(RsnIo, RejectsNonConsecutiveModules) {
   std::istringstream is("rsn x\nmodule 1 foo\n");
   EXPECT_THROW(read_rsn(is), std::runtime_error);
+}
+
+std::string read_error(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    read_rsn(is);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(RsnIo, RejectsRegisterOverDocumentBudget) {
+  // 348 bytes asking for 42M scan FFs: the first register alone is over
+  // the budget, so the reader fails before allocating it.
+  std::string text = "rsn x\n";
+  for (int i = 0; i < 10; ++i)
+    text += "register r" + std::to_string(i) + " ffs 4194304 module 0\n";
+  std::string err = read_error(text);
+  EXPECT_NE(err.find("line 2:"), std::string::npos) << err;
+  EXPECT_NE(err.find("exceeds 4194304"), std::string::npos) << err;
+}
+
+TEST(RsnIo, DocumentBudgetSpansLines) {
+  // Each register is in range; the fourth pushes the document's scan
+  // FFs plus elements past the budget.
+  std::string text = "rsn x\n";
+  for (int i = 0; i < 4; ++i)
+    text += "register r" + std::to_string(i) + " ffs 1048576 module -1\n";
+  std::string err = read_error(text);
+  EXPECT_NE(err.find("line 5:"), std::string::npos) << err;
+  EXPECT_NE(err.find("exceeds"), std::string::npos) << err;
+  // Mux ports draw on the same budget.
+  err = read_error("rsn x\nregister r ffs 4194000 module -1\n"
+                   "mux m inputs 400\n");
+  EXPECT_NE(err.find("line 3:"), std::string::npos) << err;
 }
 
 TEST(RsnIo, SummarizeMentionsCounts) {

@@ -2,7 +2,8 @@
 
 // One small BASTION design serialized to the inline payload strings the
 // serve protocol carries — shared by the service- and server-level
-// tests (the same shape `rsnsec bench serve` replays).
+// tests (the same shape the ServeReplay_Mingle benchmarks in
+// bench/system_benchmarks.cpp replay).
 
 #include <algorithm>
 #include <cstdint>

@@ -18,7 +18,6 @@ namespace rsnsec::cli {
 ///                   [--verify]
 ///   rsnsec certify  --rsn F --verilog F --spec F [--json] [--no-ternary]
 ///   rsnsec lint     FILE... [--json] [--top NAME]
-///   rsnsec bench    ablation [--circuits N] [--specs N] [--json]
 ///
 /// `lint` statically checks the given files (.rsn/.icl network,
 /// .v circuit, .spec specification — any subset, cross-checked when
@@ -28,13 +27,17 @@ namespace rsnsec::cli {
 /// `secure --verify` additionally runs the lint invariant pass after
 /// every applied RSN change (PipelineOptions::verify_invariants) and the
 /// certifier on the final network (PipelineOptions::verify_certify).
-/// `bench ablation` reproduces the Sec. IV-C structural-vs-exact
-/// ablation with the benchmark harness's instance recipe.
+/// The paper's studies and the subsystem benchmarks are separate programs:
+/// build/bench/ablation_structural prints the Sec. IV-C structural-vs-exact
+/// ablation, and build/bench/micro_benchmarks runs the attack, scale and
+/// serve suites (--benchmark_filter='^Attack_', '^Scale_MBIST',
+/// '^ServeReplay_').
 ///
-/// Returns the process exit code (0 = success; for `analyze`, 0 also
-/// means "no violations found" and 2 means "violations found"; for
-/// `lint` and `certify`, 0 means "no error-severity diagnostics" and 2
-/// means at least one error was reported).
+/// Returns the process exit code (0 = success, 2 = usage error such as an
+/// unknown command; for `analyze`, 0 also means "no violations found" and
+/// 2 means "violations found"; for `lint` and `certify`, 0 means "no
+/// error-severity diagnostics" and 2 means at least one error was
+/// reported).
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err);
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) {
     std::cerr << "usage: rsnsec <generate|info|analyze|secure|certify|"
-                 "attack|lint|store|bench|serve> [options]\n"
+                 "attack|lint|store|serve> [options]\n"
                  "see tools/cli.hpp for the full option list\n";
     return 1;
   }
