@@ -1,119 +1,214 @@
 #include "netlist/verilog.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 namespace rsnsec::netlist::verilog {
 
 namespace {
 
-struct Token {
-  std::string text;
-  int line = 0;
-  bool is_punct = false;
+using Line = std::uint32_t;
+
+[[noreturn]] void fail(Line line, const std::string& m) {
+  throw std::runtime_error("verilog parse error at line " +
+                           std::to_string(line) + ": " + m);
+}
+
+/// Character classes of the lexer: ASCII, as <cctype> in the "C" locale.
+enum : std::uint8_t {
+  kSpace = 1,       // isspace
+  kIdentStart = 2,  // isalpha or '_'
+  kIdent = 4,       // isalnum or one of "_$."
+  kDigit = 8,       // isdigit
+  kNumber = 16,     // isalnum or '\''
 };
 
+constexpr std::array<std::uint8_t, 256> make_char_classes() {
+  std::array<std::uint8_t, 256> t{};
+  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) t[c] = kSpace;
+  for (int c = 0; c < 256; ++c) {
+    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    const bool digit = c >= '0' && c <= '9';
+    if (alpha || c == '_') t[c] |= kIdentStart;
+    if (alpha || digit || c == '_' || c == '$' || c == '.') t[c] |= kIdent;
+    if (digit) t[c] |= kDigit;
+    if (alpha || digit || c == '\'') t[c] |= kNumber;
+  }
+  return t;
+}
+constexpr std::array<std::uint8_t, 256> kCharClass = make_char_classes();
+
+bool has_class(char c, std::uint8_t cls) {
+  return (kCharClass[static_cast<unsigned char>(c)] & cls) != 0;
+}
+
+/// The rest of `is`, read into one buffer (sized up front when the stream
+/// can seek).
+std::string read_all(std::istream& is) {
+  std::string s;
+  std::streambuf* sb = is.rdbuf();
+  if (sb == nullptr) return s;
+  const std::streampos here = sb->pubseekoff(0, std::ios::cur, std::ios::in);
+  if (here != std::streampos(-1)) {
+    const std::streampos end = sb->pubseekoff(0, std::ios::end, std::ios::in);
+    if (sb->pubseekpos(here, std::ios::in) != here)
+      throw std::runtime_error("verilog: cannot rewind the input stream");
+    if (end != std::streampos(-1) && end > here)
+      s.reserve(static_cast<std::size_t>(end - here));
+  }
+  std::array<char, 1 << 16> chunk;
+  for (std::streamsize n; (n = sb->sgetn(chunk.data(), chunk.size())) > 0;)
+    s.append(chunk.data(), static_cast<std::size_t>(n));
+  return s;
+}
+
+enum class TokKind : std::uint8_t { Word, Punct, End };
+
+/// A token: a view into the source buffer (a string literal's contents
+/// without the quotes, an escaped identifier without its backslash), or
+/// "<eof>" for the end of the input.
+struct Token {
+  std::string_view text;
+  Line line = 0;
+  TokKind kind = TokKind::End;
+
+  bool is_punct() const { return kind != TokKind::Word; }
+};
+
+/// Single-pass pull lexer with one token of lookahead. It never stores
+/// more than the current token; past the end it keeps returning "<eof>".
 class Lexer {
  public:
-  explicit Lexer(std::istream& is) {
-    std::string s((std::istreambuf_iterator<char>(is)),
-                  std::istreambuf_iterator<char>());
-    int line = 1;
-    std::size_t i = 0;
-    auto fail = [&](const std::string& m) {
-      throw std::runtime_error("verilog parse error at line " +
-                               std::to_string(line) + ": " + m);
-    };
-    while (i < s.size()) {
-      char c = s[i];
-      if (c == '\n') {
-        ++line;
-        ++i;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++i;
-      } else if (c == '/' && i + 1 < s.size() && s[i + 1] == '/') {
-        while (i < s.size() && s[i] != '\n') ++i;
-      } else if (c == '/' && i + 1 < s.size() && s[i + 1] == '*') {
-        i += 2;
-        while (i + 1 < s.size() && !(s[i] == '*' && s[i + 1] == '/')) {
-          if (s[i] == '\n') ++line;
-          ++i;
-        }
-        i += 2;
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-                 c == '\\') {
-        // Identifier; '\' starts an escaped identifier ending at space.
-        std::size_t j = i;
-        if (c == '\\') {
-          ++j;
-          while (j < s.size() &&
-                 !std::isspace(static_cast<unsigned char>(s[j])))
-            ++j;
-          tokens_.push_back({s.substr(i + 1, j - i - 1), line, false});
-        } else {
-          while (j < s.size() &&
-                 (std::isalnum(static_cast<unsigned char>(s[j])) ||
-                  s[j] == '_' || s[j] == '$' || s[j] == '.'))
-            ++j;
-          tokens_.push_back({s.substr(i, j - i), line, false});
-        }
-        i = j;
-      } else if (std::isdigit(static_cast<unsigned char>(c))) {
-        // Number or sized constant like 1'b0.
-        std::size_t j = i;
-        while (j < s.size() &&
-               (std::isalnum(static_cast<unsigned char>(s[j])) ||
-                s[j] == '\''))
-          ++j;
-        tokens_.push_back({s.substr(i, j - i), line, false});
-        i = j;
-      } else if (c == '(' && i + 1 < s.size() && s[i + 1] == '*') {
-        tokens_.push_back({"(*", line, true});
-        i += 2;
-      } else if (c == '*' && i + 1 < s.size() && s[i + 1] == ')') {
-        tokens_.push_back({"*)", line, true});
-        i += 2;
-      } else if (c == '"') {
-        std::size_t j = i + 1;
-        while (j < s.size() && s[j] != '"') ++j;
-        if (j >= s.size()) fail("unterminated string");
-        tokens_.push_back({s.substr(i + 1, j - i - 1), line, false});
-        i = j + 1;
-      } else if (std::string("(),;=").find(c) != std::string::npos) {
-        tokens_.push_back({std::string(1, c), line, true});
-        ++i;
-      } else {
-        fail(std::string("unexpected character '") + c + "'");
-      }
-    }
-    tokens_.push_back({"<eof>", line, true});
-  }
+  explicit Lexer(std::string_view src) : src_(src) { advance(); }
 
-  const Token& peek() const { return tokens_[pos_]; }
+  const Token& peek() const { return cur_; }
+
   Token next() {
-    const Token& t = tokens_[pos_];
-    if (pos_ + 1 < tokens_.size()) ++pos_;
+    Token t = cur_;
+    if (t.kind != TokKind::End) advance();
     return t;
   }
 
  private:
-  std::vector<Token> tokens_;
+  void advance();
+
+  std::string_view src_;
   std::size_t pos_ = 0;
+  Line line_ = 1;
+  Token cur_;
 };
 
-/// A pending gate instantiation awaiting fanin resolution.
+void Lexer::advance() {
+  const char* s = src_.data();
+  const std::size_t n = src_.size();
+  std::size_t i = pos_;
+  // Whitespace and comments.
+  for (;;) {
+    if (i >= n) {
+      cur_ = {"<eof>", line_, TokKind::End};
+      pos_ = i;
+      return;
+    }
+    const char c = s[i];
+    if (c == '\n') {
+      ++line_;
+      ++i;
+    } else if (has_class(c, kSpace)) {
+      ++i;
+    } else if (c == '/' && i + 1 < n && s[i + 1] == '/') {
+      while (i < n && s[i] != '\n') ++i;
+    } else if (c == '/' && i + 1 < n && s[i + 1] == '*') {
+      i += 2;
+      while (i + 1 < n && !(s[i] == '*' && s[i + 1] == '/')) {
+        if (s[i] == '\n') ++line_;
+        ++i;
+      }
+      i += 2;
+    } else {
+      break;
+    }
+  }
+
+  const char c = s[i];
+  std::size_t j = i + 1;
+  TokKind kind = TokKind::Word;
+  std::string_view text;
+  if (c == '\\') {
+    // Escaped identifier: everything up to the next whitespace.
+    while (j < n && !has_class(s[j], kSpace)) ++j;
+    text = src_.substr(i + 1, j - i - 1);
+  } else if (has_class(c, kIdentStart)) {
+    while (j < n && has_class(s[j], kIdent)) ++j;
+    text = src_.substr(i, j - i);
+  } else if (has_class(c, kDigit)) {
+    // Number or sized constant like 1'b0.
+    while (j < n && has_class(s[j], kNumber)) ++j;
+    text = src_.substr(i, j - i);
+  } else if ((c == '(' && j < n && s[j] == '*') ||
+             (c == '*' && j < n && s[j] == ')')) {
+    ++j;
+    kind = TokKind::Punct;
+    text = src_.substr(i, 2);
+  } else if (c == '"') {
+    while (j < n && s[j] != '"') ++j;
+    if (j >= n) fail(line_, "unterminated string");
+    text = src_.substr(i + 1, j - i - 1);
+    ++j;
+  } else if (c == '(' || c == ')' || c == ',' || c == ';' || c == '=') {
+    kind = TokKind::Punct;
+    text = src_.substr(i, 1);
+  } else {
+    fail(line_, std::string("unexpected character '") + c + "'");
+  }
+  cur_ = {text, line_, kind};
+  pos_ = j;
+}
+
+/// Dense ids for names, in first-seen order. The views point into the
+/// source buffer, which outlives the table.
+class Interner {
+ public:
+  explicit Interner(std::size_t expected = 0) { ids_.reserve(expected); }
+
+  std::uint32_t intern(std::string_view name) {
+    auto [it, fresh] =
+        ids_.try_emplace(name, static_cast<std::uint32_t>(names_.size()));
+    if (fresh) names_.push_back(name);
+    return it->second;
+  }
+
+  std::string_view name(std::uint32_t id) const { return names_[id]; }
+  std::size_t size() const { return names_.size(); }
+
+  /// Frees the name -> id index once every name is interned; name() and
+  /// size() keep working.
+  void drop_index() { ids_ = {}; }
+
+ private:
+  std::unordered_map<std::string_view, std::uint32_t> ids_;
+  std::vector<std::string_view> names_;
+};
+
+constexpr std::uint32_t kNoInstrument = 0xffffffffu;
+
+/// A primitive instantiation awaiting creation: its nets are
+/// args[first_arg .. first_arg + num_args) = [out, in...].
 struct PendingGate {
   GateType type = GateType::Buf;
-  std::string name;
-  std::vector<std::string> args;  // [out, in...] net names
-  std::string instrument;
-  int line = 0;
+  Line line = 0;
+  std::uint32_t first_arg = 0;
+  std::uint32_t num_args = 0;
+  std::uint32_t instrument = kNoInstrument;
 };
 
-bool prim_type(const std::string& kw, GateType* out) {
+bool prim_type(std::string_view kw, GateType* out) {
   if (kw == "and") *out = GateType::And;
   else if (kw == "or") *out = GateType::Or;
   else if (kw == "nand") *out = GateType::Nand;
@@ -128,192 +223,267 @@ bool prim_type(const std::string& kw, GateType* out) {
   return true;
 }
 
+/// Net ids 0 and 1 are the constant literals; as a gate or flip-flop
+/// input they denote a fresh constant node, never the net of that name.
+constexpr std::uint32_t kConst0 = 0;
+constexpr std::uint32_t kConst1 = 1;
+
 }  // namespace
 
 ParsedCircuit parse(std::istream& is) {
-  Lexer lex(is);
+  const std::string src = read_all(is);
+  Lexer lex(src);
   ParsedCircuit out;
-  std::map<std::string, ModuleId> instruments;
 
-  auto fail = [&](int line, const std::string& m) -> std::runtime_error {
-    return std::runtime_error("verilog parse error at line " +
-                              std::to_string(line) + ": " + m);
+  Interner nets(src.size() / 32);
+  nets.intern("1'b0");
+  nets.intern("1'b1");
+  Interner instruments;
+  auto quoted = [&](std::uint32_t net) {
+    return "'" + std::string(nets.name(net)) + "'";
   };
-  auto expect = [&](const std::string& p) {
+  auto expect = [&](std::string_view p) {
     Token t = lex.next();
     if (t.text != p)
-      throw fail(t.line, "expected '" + p + "', got '" + t.text + "'");
+      fail(t.line, "expected '" + std::string(p) + "', got '" +
+                       std::string(t.text) + "'");
   };
 
   // --- header ---
+  std::vector<std::pair<std::uint32_t, Line>> inputs;  // net, declaring line
   {
     Token t = lex.next();
-    if (t.text != "module") throw fail(t.line, "expected 'module'");
+    if (t.text != "module") fail(t.line, "expected 'module'");
   }
-  out.module_name = lex.next().text;
-  std::vector<std::string> inputs, wires;
+  out.module_name = std::string(lex.next().text);
   expect("(");
-  std::string pending_dir;
+  std::string_view pending_dir;
   while (lex.peek().text != ")") {
     Token t = lex.next();
+    if (t.kind == TokKind::End) fail(t.line, "unexpected end of file");
     if (t.text == ",") continue;
     if (t.text == "input" || t.text == "output" || t.text == "wire") {
       pending_dir = t.text;
       continue;
     }
-    if (pending_dir == "input") inputs.push_back(t.text);
-    else if (pending_dir == "output") out.outputs.push_back(t.text);
+    if (pending_dir == "input")
+      inputs.emplace_back(nets.intern(t.text), t.line);
+    else if (pending_dir == "output")
+      out.outputs.emplace_back(t.text);
     // Undirected header ports get their direction from body decls.
   }
   expect(")");
   expect(";");
 
   // --- body ---
-  std::vector<PendingGate> gates;
-  std::string next_instrument;
-  int anon = 0;
+  std::vector<PendingGate> gates;  // combinational, in file order
+  std::vector<PendingGate> ffs;    // flip-flops, in file order
+  std::vector<std::uint32_t> args;
+  std::uint32_t next_instrument = kNoInstrument;
   for (;;) {
     Token t = lex.next();
     if (t.text == "endmodule") break;
-    if (t.text == "<eof>") throw fail(t.line, "missing 'endmodule'");
+    if (t.text == "<eof>") fail(t.line, "missing 'endmodule'");
     if (t.text == "(*") {
       // (* instrument = "name" *)
       Token key = lex.next();
       if (key.text != "instrument")
-        throw fail(key.line, "unsupported attribute '" + key.text + "'");
+        fail(key.line, "unsupported attribute '" + std::string(key.text) + "'");
       expect("=");
-      next_instrument = lex.next().text;
+      std::string_view name = lex.next().text;
+      next_instrument = name.empty() ? kNoInstrument : instruments.intern(name);
       expect("*)");
       continue;
     }
     if (t.text == "input" || t.text == "output" || t.text == "wire") {
       while (true) {
         Token n = lex.next();
-        if (n.is_punct)
-          throw fail(n.line, "expected net name");
-        if (t.text == "input") inputs.push_back(n.text);
-        if (t.text == "output") out.outputs.push_back(n.text);
+        if (n.is_punct()) fail(n.line, "expected net name");
+        if (t.text == "input") inputs.emplace_back(nets.intern(n.text), n.line);
+        if (t.text == "output") out.outputs.emplace_back(n.text);
         Token sep = lex.next();
         if (sep.text == ";") break;
-        if (sep.text != ",") throw fail(sep.line, "expected ',' or ';'");
+        if (sep.text != ",") fail(sep.line, "expected ',' or ';'");
       }
       continue;
     }
-    GateType type;
-    if (!prim_type(t.text, &type))
-      throw fail(t.line, "unknown primitive '" + t.text + "'");
     PendingGate g;
-    g.type = type;
+    if (!prim_type(t.text, &g.type))
+      fail(t.line, "unknown primitive '" + std::string(t.text) + "'");
     g.line = t.line;
     g.instrument = next_instrument;
-    next_instrument.clear();
-    if (lex.peek().text != "(") g.name = lex.next().text;
-    if (g.name.empty())
-      g.name = "g$" + std::to_string(anon++);
+    next_instrument = kNoInstrument;
+    g.first_arg = static_cast<std::uint32_t>(args.size());
+    if (lex.peek().text != "(") lex.next();  // instance name (optional)
     expect("(");
     while (lex.peek().text != ")") {
       Token a = lex.next();
+      if (a.kind == TokKind::End) fail(a.line, "unexpected end of file");
       if (a.text == ",") continue;
-      g.args.push_back(a.text);
+      args.push_back(nets.intern(a.text));
     }
     expect(")");
     expect(";");
-    if (g.args.size() < 2)
-      throw fail(g.line, "primitive needs an output and >= 1 input");
-    if (g.type == GateType::Mux && g.args.size() != 4)
-      throw fail(g.line, "mux needs (out, sel, in0, in1)");
-    if (g.type == GateType::FF && g.args.size() != 2)
-      throw fail(g.line, "dff needs (q, d)");
+    g.num_args = static_cast<std::uint32_t>(args.size()) - g.first_arg;
+    if (g.num_args < 2)
+      fail(g.line, "primitive needs an output and >= 1 input");
+    if (g.type == GateType::Mux && g.num_args != 4)
+      fail(g.line, "mux needs (out, sel, in0, in1)");
+    if (g.type == GateType::FF && g.num_args != 2)
+      fail(g.line, "dff needs (q, d)");
     if ((g.type == GateType::Not || g.type == GateType::Buf) &&
-        g.args.size() != 2)
-      throw fail(g.line, "not/buf need (out, in)");
-    gates.push_back(std::move(g));
+        g.num_args != 2)
+      fail(g.line, "not/buf need (out, in)");
+    (g.type == GateType::FF ? ffs : gates).push_back(g);
   }
+  // Lexical errors after endmodule are errors too.
+  while (lex.next().kind != TokKind::End) {
+  }
+  nets.drop_index();
 
-  auto instrument_id = [&](const std::string& name) {
-    if (name.empty()) return no_module;
-    auto it = instruments.find(name);
-    if (it != instruments.end()) return it->second;
-    ModuleId id = out.netlist.add_module(name);
-    instruments.emplace(name, id);
-    return id;
+  std::vector<ModuleId> instrument_module(instruments.size(), no_module);
+  auto module_of = [&](std::uint32_t instrument) {
+    if (instrument == kNoInstrument) return no_module;
+    ModuleId& m = instrument_module[instrument];
+    if (m == no_module)
+      m = out.netlist.add_module(std::string(instruments.name(instrument)));
+    return m;
   };
 
-  // Inputs and flip-flop outputs exist up front; combinational gates are
-  // created once all their fanins exist (rejects combinational loops).
-  for (const std::string& in : inputs) {
-    if (out.nets.count(in)) throw fail(0, "net '" + in + "' redefined");
-    out.nets[in] = out.netlist.add_input(in);
+  // Inputs and flip-flop outputs exist up front.
+  std::vector<NodeId> node(nets.size(), no_node);
+  for (const auto& [net, line] : inputs) {
+    if (node[net] != no_node) fail(line, "net " + quoted(net) + " redefined");
+    node[net] = out.netlist.add_input(std::string(nets.name(net)));
   }
-  for (const PendingGate& g : gates) {
-    if (g.type != GateType::FF) continue;
-    if (out.nets.count(g.args[0]))
-      throw fail(g.line, "net '" + g.args[0] + "' redefined");
-    out.nets[g.args[0]] =
-        out.netlist.add_ff(g.args[0], instrument_id(g.instrument));
+  for (const PendingGate& f : ffs) {
+    const std::uint32_t q = args[f.first_arg];
+    if (node[q] != no_node) fail(f.line, "net " + quoted(q) + " redefined");
+    node[q] = out.netlist.add_ff(std::string(nets.name(q)),
+                                 module_of(f.instrument));
   }
 
-  auto resolve = [&](const std::string& name) -> NodeId {
-    if (name == "1'b0") {
-      return out.netlist.add_const(false);
-    }
-    if (name == "1'b1") {
-      return out.netlist.add_const(true);
-    }
-    auto it = out.nets.find(name);
-    return it == out.nets.end() ? no_node : it->second;
+  // Combinational gates are created as if the unresolved gates were
+  // retried in file order, pass after pass, until a pass makes no
+  // progress: gate g is created in pass
+  //   p(g) = max(1, max over gate-driven fanins f of p(f) + [pos(f) > pos(g)])
+  // and, within a pass, in file order. One Kahn sweep over the nets no
+  // input or flip-flop drives computes p; a stable bucket sort by p
+  // yields the creation order. Gates that never become ready feed a
+  // combinational loop or an undriven wire.
+  const auto num_gates = static_cast<std::uint32_t>(gates.size());
+  auto fanins_of = [&](const PendingGate& g) {
+    return std::pair(args.data() + g.first_arg + 1,
+                     args.data() + g.first_arg + g.num_args);
   };
+  auto waits_on = [&](std::uint32_t net) {
+    return net != kConst0 && net != kConst1 && node[net] == no_node;
+  };
+  // readers[reader_begin[n] .. reader_begin[n + 1]) are the gates reading
+  // net n, once per occurrence; waiting[g] counts g's unreleased fanins.
+  std::vector<std::uint32_t> reader_begin(nets.size() + 1, 0);
+  std::vector<std::uint32_t> waiting(num_gates, 0);
+  for (std::uint32_t g = 0; g < num_gates; ++g) {
+    auto [a, end] = fanins_of(gates[g]);
+    for (; a != end; ++a) {
+      if (!waits_on(*a)) continue;
+      ++reader_begin[*a];
+      ++waiting[g];
+    }
+  }
+  for (std::size_t n = 1; n <= nets.size(); ++n)
+    reader_begin[n] += reader_begin[n - 1];
+  std::vector<std::uint32_t> readers(reader_begin[nets.size()]);
+  for (std::uint32_t g = num_gates; g-- > 0;) {
+    auto [begin, end] = fanins_of(gates[g]);
+    for (const std::uint32_t* a = end; a != begin;)
+      if (waits_on(*--a)) readers[--reader_begin[*a]] = g;
+  }
 
-  std::vector<const PendingGate*> todo;
-  for (const PendingGate& g : gates)
-    if (g.type != GateType::FF) todo.push_back(&g);
-  while (!todo.empty()) {
-    bool progress = false;
-    for (auto it = todo.begin(); it != todo.end();) {
-      const PendingGate& g = **it;
-      std::vector<NodeId> fanins;
-      bool ready = true;
-      for (std::size_t a = 1; a < g.args.size(); ++a) {
-        NodeId n = resolve(g.args[a]);
-        if (n == no_node) {
-          ready = false;
-          break;
-        }
-        fanins.push_back(n);
-      }
-      if (!ready) {
-        ++it;
-        continue;
-      }
-      if (out.nets.count(g.args[0]))
-        throw fail(g.line, "net '" + g.args[0] + "' redefined");
-      out.nets[g.args[0]] = out.netlist.add_gate(
-          g.type, std::move(fanins), g.args[0],
-          instrument_id(g.instrument));
-      it = todo.erase(it);
-      progress = true;
+  std::vector<std::uint32_t> pass(num_gates, 1);
+  std::vector<bool> released(nets.size(), false);
+  std::vector<std::uint32_t> ready;
+  for (std::uint32_t g = 0; g < num_gates; ++g)
+    if (waiting[g] == 0) ready.push_back(g);
+  std::uint32_t max_pass = num_gates == 0 ? 0 : 1;
+  std::size_t num_ready = 0;
+  while (!ready.empty()) {
+    const std::uint32_t d = ready.back();
+    ready.pop_back();
+    ++num_ready;
+    max_pass = std::max(max_pass, pass[d]);
+    const std::uint32_t y = args[gates[d].first_arg];
+    // A net already driven (by an input, a flip-flop or an earlier gate)
+    // releases nothing: the second driver is rejected when created.
+    if (node[y] != no_node || released[y]) continue;
+    released[y] = true;
+    for (std::uint32_t i = reader_begin[y]; i < reader_begin[y + 1]; ++i) {
+      const std::uint32_t r = readers[i];
+      pass[r] = std::max(pass[r], pass[d] + (d > r ? 1u : 0u));
+      if (--waiting[r] == 0) ready.push_back(r);
     }
-    if (!progress) {
-      throw fail(todo.front()->line,
-                 "unresolvable nets (combinational loop or undriven "
-                 "wire feeding '" +
-                     todo.front()->args[0] + "')");
-    }
+  }
+
+  std::vector<std::uint32_t> order(num_ready);
+  {
+    std::vector<std::uint32_t> bucket(max_pass + 2, 0);
+    for (std::uint32_t g = 0; g < num_gates; ++g)
+      if (waiting[g] == 0) ++bucket[pass[g] + 1];
+    for (std::size_t p = 1; p < bucket.size(); ++p) bucket[p] += bucket[p - 1];
+    for (std::uint32_t g = 0; g < num_gates; ++g)
+      if (waiting[g] == 0) order[bucket[pass[g]]++] = g;
+  }
+
+  // Constant literals become nodes only as their gate is created.
+  auto resolve = [&](std::uint32_t net) -> NodeId {
+    if (net == kConst0) return out.netlist.add_const(false);
+    if (net == kConst1) return out.netlist.add_const(true);
+    return node[net];
+  };
+  for (const std::uint32_t g : order) {
+    const PendingGate& pg = gates[g];
+    const std::uint32_t y = args[pg.first_arg];
+    if (node[y] != no_node) fail(pg.line, "net " + quoted(y) + " redefined");
+    std::vector<NodeId> fanins;
+    fanins.reserve(pg.num_args - 1);
+    auto [a, end] = fanins_of(pg);
+    for (; a != end; ++a) fanins.push_back(resolve(*a));
+    node[y] = out.netlist.add_gate(pg.type, std::move(fanins),
+                                   std::string(nets.name(y)),
+                                   module_of(pg.instrument));
+  }
+  if (num_ready < num_gates) {
+    const auto stuck =
+        std::find_if(waiting.begin(), waiting.end(),
+                     [](std::uint32_t w) { return w != 0; }) -
+        waiting.begin();
+    const PendingGate& g = gates[static_cast<std::size_t>(stuck)];
+    fail(g.line,
+         "unresolvable nets (combinational loop or undriven wire feeding " +
+             quoted(args[g.first_arg]) + ")");
   }
 
   // Flip-flop data inputs.
-  for (const PendingGate& g : gates) {
-    if (g.type != GateType::FF) continue;
-    NodeId d = resolve(g.args[1]);
-    if (d == no_node)
-      throw fail(g.line, "dff '" + g.args[0] + "': undriven data net '" +
-                             g.args[1] + "'");
-    out.netlist.set_ff_input(out.nets[g.args[0]], d);
+  for (const PendingGate& f : ffs) {
+    const std::uint32_t q = args[f.first_arg];
+    const std::uint32_t d = args[f.first_arg + 1];
+    const NodeId dn = resolve(d);
+    if (dn == no_node)
+      fail(f.line, "dff " + quoted(q) + ": undriven data net " + quoted(d));
+    out.netlist.set_ff_input(node[q], dn);
   }
 
   std::string err;
   if (!out.netlist.validate(&err))
     throw std::runtime_error("verilog: parsed netlist invalid: " + err);
+
+  // The name map, built once: sorted, so every insertion lands at the end.
+  std::vector<std::pair<std::string_view, NodeId>> named;
+  for (std::uint32_t n = 0; n < nets.size(); ++n)
+    if (node[n] != no_node) named.emplace_back(nets.name(n), node[n]);
+  std::sort(named.begin(), named.end());
+  for (const auto& [name, id] : named)
+    out.nets.emplace_hint(out.nets.end(), std::string(name), id);
   return out;
 }
 

@@ -33,13 +33,25 @@ struct ParsedCircuit {
 ///   endmodule
 ///
 /// Port directions may also be declared in the header
-/// ("module top(input a, output y);"). Constants 1'b0/1'b1 are allowed
-/// as gate inputs. Gates may appear in any order; combinational loops
-/// are rejected. An `(* instrument = "name" *)` attribute assigns the
-/// following primitive to that named instrument (netlist module);
-/// instruments are created on first use.
+/// ("module top(input a, output y);"). Gates may appear in any order;
+/// combinational loops are rejected. An `(* instrument = "name" *)`
+/// attribute assigns the following primitive to that named instrument
+/// (netlist module); instruments are created on first use.
 ///
-/// Throws std::runtime_error with a line-numbered message on errors.
+/// Constants 1'b0/1'b1 are allowed as gate and flip-flop inputs. Each
+/// occurrence becomes its own Const0/Const1 node, created right before
+/// the node that reads it, so the netlist holds no unused constants.
+///
+/// Node order: inputs in declaration order, then flip-flops in file
+/// order, then gates as if the unresolved gates were retried in file
+/// order, pass after pass, until all exist. The reader computes that
+/// order in one sweep, in time linear in the file size.
+///
+/// Throws std::runtime_error with a line-numbered message on errors,
+/// among them "unexpected end of file" for a port or primitive argument
+/// list cut off by the end of the input. When gates cannot be created
+/// (a combinational loop or an undriven wire), the message names the
+/// first such gate in the file.
 ParsedCircuit parse(std::istream& is);
 
 /// Writes `nl` as a flat structural Verilog module named `name`, using

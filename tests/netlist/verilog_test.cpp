@@ -125,6 +125,51 @@ TEST(VerilogParse, HeaderDirections) {
   EXPECT_EQ(c.outputs, std::vector<std::string>{"y"});
 }
 
+std::string parse_error(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    parse(is);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(VerilogParse, TruncatedHeaderIsAnEndOfFileError) {
+  EXPECT_EQ(parse_error("module m(a, b"),
+            "verilog parse error at line 1: unexpected end of file");
+}
+
+TEST(VerilogParse, TruncatedGateIsAnEndOfFileError) {
+  EXPECT_EQ(parse_error("module m(a);\n input a;\n and g(y, a"),
+            "verilog parse error at line 3: unexpected end of file");
+}
+
+TEST(VerilogParse, RedefinedInputReportsItsDeclaringLine) {
+  EXPECT_EQ(parse_error("module m(input a);\n\n  input b, a;\nendmodule\n"),
+            "verilog parse error at line 3: net 'a' redefined");
+}
+
+TEST(VerilogParse, UnresolvableGateIsTheFirstInFileOrder) {
+  EXPECT_EQ(parse_error("module m(input a);\n  buf (x, a);\n"
+                        "  and (y, z, a);\n  or (z, y, a);\nendmodule\n"),
+            "verilog parse error at line 3: unresolvable nets (combinational "
+            "loop or undriven wire feeding 'y')");
+}
+
+TEST(VerilogParse, ConstantNodesAreCreatedWithTheirGate) {
+  // The and gate waits for w, which is driven later in the file; its
+  // constant becomes a node only as the gate is created.
+  std::istringstream is(
+      "module m(a);\n  input a;\n  and g(y, 1'b0, w);\n  buf b(w, a);\n"
+      "endmodule\n");
+  ParsedCircuit c = parse(is);
+  ASSERT_EQ(c.netlist.num_nodes(), 4u);  // a, w, 1'b0, y
+  EXPECT_EQ(c.netlist.node(1).name, "w");
+  EXPECT_EQ(c.netlist.node(2).type, GateType::Const0);
+  EXPECT_EQ(c.netlist.node(3).fanins, (std::vector<NodeId>{2, 1}));
+}
+
 TEST(VerilogRoundTrip, GeneratedCircuitSimulatesIdentically) {
   // Generate a random circuit, write it as Verilog, parse it back, and
   // co-simulate: both netlists must agree on every FF next-state.

@@ -20,13 +20,18 @@
 //    find_violation / count_violating_pairs from scratch every iteration
 //    and select cuts with a sequential trial loop over the reference
 //    rewiring.
+//  - Verilog reading: the multi-pass reader that retried every
+//    unresolved gate per pass, kept to check the single-pass reader's
+//    node order, nets and errors.
 
 #include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "dep/analyzer.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist/verilog.hpp"
 #include "rsn/rsn.hpp"
 #include "security/hybrid.hpp"
 #include "security/pure.hpp"
@@ -100,5 +105,18 @@ security::ResolveStats resolve_hybrid(
     const security::HybridAnalyzer& analyzer, rsn::Rsn& network,
     std::vector<security::AppliedChange>* log,
     security::ResolutionPolicy policy);
+
+// ---------------------------------------------------------- Verilog reading
+
+/// Reference netlist::verilog::parse: the whole file lexed into a vector
+/// of std::string tokens, nets in a std::map, and gates created by
+/// repeated passes over the unresolved ones, in file order within a
+/// pass. Checking whether a gate is ready creates a node for each
+/// constant literal it reads up to its first undriven net, so a gate
+/// deferred to a later pass leaves unused constant nodes behind; it also
+/// loops forever on some truncated files (a header or gate argument list
+/// cut off at end of file). Compare on complete files without constant
+/// literals.
+netlist::verilog::ParsedCircuit parse_verilog(std::istream& is);
 
 }  // namespace rsnsec::reference

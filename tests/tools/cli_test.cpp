@@ -261,6 +261,33 @@ TEST_F(CliTest, TraceAndMetricsProduceValidOutputs) {
   EXPECT_NE(err_.str().find("dep.runs"), std::string::npos);
 }
 
+TEST_F(CliTest, SecureTraceAttributesReadingAndWriting) {
+  ASSERT_EQ(run_cli({"generate", "--benchmark", "FlexScan", "--scale",
+                     "0.02", "--seed", "2", "--out-rsn", path("net.rsn"),
+                     "--out-verilog", path("ckt.v"), "--out-spec",
+                     path("policy.spec")}),
+            0)
+      << err_.str();
+  ASSERT_EQ(run_cli({"secure", "--rsn", path("net.rsn"), "--verilog",
+                     path("ckt.v"), "--spec", path("policy.spec"), "--out",
+                     path("out.rsn"), "--trace", path("trace.json"),
+                     "--metrics"}),
+            0)
+      << err_.str();
+  std::ifstream f(path("trace.json"));
+  ASSERT_TRUE(f.good());
+  std::stringstream trace;
+  trace << f.rdbuf();
+  ASSERT_TRUE(testsupport::is_valid_json(trace.str()));
+  for (const char* span :
+       {"input.rsn", "input.verilog", "input.spec", "output.rsn"}) {
+    EXPECT_NE(trace.str().find(std::string("\"") + span + "\""),
+              std::string::npos)
+        << span;
+    EXPECT_NE(err_.str().find(span), std::string::npos) << span;
+  }
+}
+
 TEST_F(CliTest, SecureWithTraceEmbedsObservabilityInReport) {
   ASSERT_EQ(run_cli({"generate", "--benchmark", "Mingle", "--scale", "0.4",
                      "--seed", "5", "--out-rsn", path("net.rsn"),

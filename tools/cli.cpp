@@ -129,16 +129,24 @@ struct LoadedWorkload {
   security::SecuritySpec spec{1, 1};
 };
 
+/// Reads the network, the circuit and the specification, each under its
+/// own trace span (input.rsn, input.verilog, input.spec).
 LoadedWorkload load_workload(const Args& args) {
+  obs::TraceSession* trace = obs::TraceSession::active();
   LoadedWorkload w;
-  w.doc = load_network(args);
   {
+    obs::Span span(trace, "input.rsn");
+    w.doc = load_network(args);
+  }
+  {
+    obs::Span span(trace, "input.verilog");
     std::ifstream f = open_input(args.require("verilog"));
     netlist::verilog::ParsedCircuit parsed = netlist::verilog::parse(f);
     rsn::apply_attachments(w.doc, parsed.nets);
     w.circuit = std::move(parsed.netlist);
   }
   {
+    obs::Span span(trace, "input.spec");
     std::ifstream f = open_input(args.require("spec"));
     w.spec = security::read_spec(f, w.doc.module_names);
   }
@@ -421,6 +429,7 @@ int cmd_secure(const Args& args, std::ostream& out) {
       out << "  - " << c.note << "\n";
   }
   if (!result.secured) return 3;
+  obs::Span span(obs::TraceSession::active(), "output.rsn");
   std::ofstream f = open_output(args.require("out"));
   rsn::write_rsn(f, w.doc.network, w.doc.module_names, &w.circuit);
   return 0;
