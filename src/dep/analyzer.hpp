@@ -178,8 +178,7 @@ class DependencyAnalyzer {
   }
 
   /// Dense indices j with a Path closure dependency of FF j on FF i,
-  /// ascending (the hybrid security engine's access path, so it never
-  /// materializes a dense matrix at scale).
+  /// ascending, read off the tiled closure without a dense matrix.
   std::vector<std::size_t> closure_path_successors(std::size_t i) const {
     return closure_.path_successors(i);
   }

@@ -169,6 +169,10 @@ void Lexer::advance() {
   }
   cur_ = {text, line_, kind};
   pos_ = j;
+  // A string literal is a token of its first line, but the lines it
+  // spans still count for every later token.
+  if (c == '"')
+    line_ += static_cast<Line>(std::count(text.begin(), text.end(), '\n'));
 }
 
 /// Dense ids for names, in first-seen order. The views point into the

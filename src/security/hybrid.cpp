@@ -1,6 +1,8 @@
 #include "security/hybrid.hpp"
 
 #include <cassert>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -20,7 +22,14 @@ HybridAnalyzer::HybridAnalyzer(const netlist::Netlist& nl,
                                const TokenTable& tokens)
     : nl_(nl), deps_(deps), spec_(spec), tokens_(tokens) {
   build_nodes(layout_network);
-  build_static_edges(layout_network);
+  build_edges(layout_network);
+}
+
+void check_node_id_range(std::size_t nodes) {
+  if (nodes > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error(
+        "HYB001: hybrid propagation graph has " + std::to_string(nodes) +
+        " nodes; node ids are 32-bit");
 }
 
 std::size_t HybridAnalyzer::scan_node(ElemId reg, std::size_t ff) const {
@@ -68,10 +77,14 @@ void HybridAnalyzer::build_nodes(const Rsn& layout) {
   }
 }
 
-void HybridAnalyzer::build_static_edges(const Rsn& layout) {
-  static_succ_.assign(owner_module_.size(), {});
-  circuit_succ_.assign(owner_module_.size(), {});
+void HybridAnalyzer::build_edges(const Rsn& layout) {
+  const std::size_t nodes = owner_module_.size();
+  check_node_id_range(nodes);
+  auto id = [](std::size_t n) { return static_cast<std::uint32_t>(n); };
 
+  // Static edges are few (one per scan FF plus the capture and update
+  // attachments), so they are listed in emission order first.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> statics;
   for (ElemId r : layout.registers()) {
     const rsn::Element& e = layout.elem(r);
     for (std::size_t f = 0; f < e.ffs.size(); ++f) {
@@ -79,28 +92,52 @@ void HybridAnalyzer::build_static_edges(const Rsn& layout) {
       // Shift order inside the register: data only moves toward scan-out
       // (SF5 -> SF6, never SF6 -> SF5; Sec. III-C).
       if (f + 1 < e.ffs.size())
-        static_succ_[node].push_back(scan_node(r, f + 1));
+        statics.emplace_back(id(node), id(scan_node(r, f + 1)));
       // Capture-cone dependencies (path-dependent only: tokens cannot
       // ride only-structural connections).
       for (const dep::CaptureDep& d : deps_.capture_deps(r, f)) {
         if (d.kind == DepKind::Path)
-          static_succ_[circuit_node(d.circuit_ff)].push_back(node);
+          statics.emplace_back(id(circuit_node(d.circuit_ff)), id(node));
       }
       // Update connection into the circuit.
       if (e.ffs[f].update_dst != netlist::no_node)
-        static_succ_[node].push_back(circuit_node(e.ffs[f].update_dst));
+        statics.emplace_back(id(node),
+                             id(circuit_node(e.ffs[f].update_dst)));
     }
   }
 
   // Multi-cycle circuit closure: one edge per path-dependent pair. The
   // closure is transitively closed, so a single hop covers any number of
-  // functional clock cycles. Reading path successors straight off the
-  // tiled closure never materializes a dense matrix.
+  // functional clock cycles. It outnumbers all other edges by orders of
+  // magnitude, so the CSR is sized exactly before it is filled: degrees
+  // come from a popcount of the tiled closure rows (never a dense matrix
+  // or a per-row list), then each row is written in place.
+  const TiledDepMatrix& closure = deps_.circuit_closure();
+  // Pass 1: degrees. Until the prefix sum, closure_off_[n] holds n's
+  // static out-degree and succ_off_[n + 1] its closure out-degree.
+  succ_off_.assign(nodes + 1, 0);
+  closure_off_.assign(nodes, 0);
+  for (const auto& [from, to] : statics) ++closure_off_[from];
   for (std::size_t i = 0; i < deps_.num_circuit_ffs(); ++i) {
     if (deps_.is_internal(i)) continue;
-    for (std::size_t j : deps_.closure_path_successors(i)) {
-      if (i != j) circuit_succ_[circuit_base_ + i].push_back(circuit_base_ + j);
-    }
+    std::uint64_t degree = closure.path_successor_count(i);
+    if (closure.get(i, i) == DepKind::Path) --degree;  // no self-loop
+    succ_off_[circuit_base_ + i + 1] = degree;
+  }
+  for (std::size_t n = 0; n < nodes; ++n) {
+    closure_off_[n] += succ_off_[n];
+    succ_off_[n + 1] += closure_off_[n];
+  }
+  // Pass 2: fill. Static edges keep their emission order per source.
+  succ_.resize(succ_off_[nodes]);
+  std::vector<std::uint64_t> cursor(succ_off_.begin(), succ_off_.end() - 1);
+  for (const auto& [from, to] : statics) succ_[cursor[from]++] = to;
+  for (std::size_t i = 0; i < deps_.num_circuit_ffs(); ++i) {
+    if (deps_.is_internal(i)) continue;
+    std::uint64_t o = closure_off_[circuit_base_ + i];
+    closure.for_each_path_successor(i, [&](std::size_t j) {
+      if (j != i) succ_[o++] = id(circuit_base_ + j);
+    });
   }
 }
 
@@ -149,13 +186,12 @@ std::vector<TokenSet> HybridAnalyzer::run_worklist(
     std::size_t n = worklist.back();
     worklist.pop_back();
     queued[n] = false;
-    if (!circuit_only) {
-      for (std::size_t s : static_succ_[n]) relax(n, s);
-      if (n < extra_succ.size()) {
-        for (std::size_t s : extra_succ[n]) relax(n, s);
-      }
+    for (std::uint32_t s :
+         circuit_only ? closure_successors(n) : successors(n))
+      relax(n, s);
+    if (!circuit_only && n < extra_succ.size()) {
+      for (std::size_t s : extra_succ[n]) relax(n, s);
     }
-    for (std::size_t s : circuit_succ_[n]) relax(n, s);
   }
   return state;
 }
@@ -242,81 +278,7 @@ std::size_t HybridAnalyzer::count_violating_registers(
 
 std::optional<HybridAnalyzer::Violation> HybridAnalyzer::find_violation(
     const Rsn& network) const {
-  std::vector<RsnEdge> rsn_edges = build_rsn_edges(network);
-
-  // Forward adjacency with provenance (-1 = static/circuit edge, else
-  // index into rsn_edges), for path tracing.
-  struct Pred {
-    std::size_t node;
-    int rsn_edge;
-  };
-  std::vector<std::vector<Pred>> preds(owner_module_.size());
-  for (std::size_t n = 0; n < owner_module_.size(); ++n) {
-    for (std::size_t s : static_succ_[n]) preds[s].push_back({n, -1});
-    for (std::size_t s : circuit_succ_[n]) preds[s].push_back({n, -1});
-  }
-  std::vector<std::vector<std::size_t>> extra(owner_module_.size());
-  for (std::size_t ei = 0; ei < rsn_edges.size(); ++ei) {
-    const RsnEdge& e = rsn_edges[ei];
-    std::size_t from =
-        scan_node(e.from_reg, network.elem(e.from_reg).ffs.size() - 1);
-    std::size_t to = scan_node(e.to_reg, 0);
-    extra[from].push_back(to);
-    preds[to].push_back({from, static_cast<int>(ei)});
-  }
-
-  std::vector<TokenSet> state = run_worklist(extra, false);
-  for (std::size_t victim = 0; victim < state.size(); ++victim) {
-    if (owner_module_[victim] < 0) continue;
-    TrustCategory t = spec_.policy(owner_module_[victim]).trust;
-    int tok = state[victim].first_common(tokens_.bad(t));
-    if (tok < 0) continue;
-
-    // Backward BFS to a seed of the token, over predecessors carrying it.
-    std::vector<int> parent_edge(owner_module_.size(), -2);
-    std::vector<std::size_t> parent(owner_module_.size(), 0);
-    std::vector<bool> seen(owner_module_.size(), false);
-    std::vector<std::size_t> queue{victim};
-    seen[victim] = true;
-    std::size_t seed = owner_module_.size();
-    bool victim_is_seed = false;
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      std::size_t cur = queue[qi];
-      if (seed_token_[cur] == tok && cur != victim) {
-        seed = cur;
-        break;
-      }
-      for (const Pred& p : preds[cur]) {
-        if (seen[p.node]) continue;
-        if (!state[p.node].test(static_cast<std::size_t>(tok))) continue;
-        seen[p.node] = true;
-        parent[p.node] = cur;
-        parent_edge[p.node] = p.rsn_edge;
-        queue.push_back(p.node);
-      }
-    }
-    if (seed == owner_module_.size() && !victim_is_seed) {
-      // The token can only have been seeded upstream; if no seed was
-      // found the victim itself must carry it (cannot happen after spec
-      // validation, but keep the analysis robust).
-      continue;
-    }
-
-    Violation v;
-    v.token = tok;
-    v.victim_node = victim;
-    for (std::size_t cur = seed;; cur = parent[cur]) {
-      v.node_path.push_back(cur);
-      if (parent_edge[cur] >= 0) {
-        const RsnEdge& e = rsn_edges[static_cast<std::size_t>(
-            parent_edge[cur])];
-        for (const Connection& c : e.chain) v.rsn_connections.push_back(c);
-      }
-      if (cur == victim) break;
-    }
-    return v;
-  }
-  return std::nullopt;
+  return HybridViolationIndex(*this, network).find_violation();
 }
 
 HybridStats HybridAnalyzer::detect_and_resolve(

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,10 @@
 namespace rsnsec::security {
 
 class HybridViolationIndex;
+
+/// Checks that a propagation graph of `nodes` nodes fits the 32-bit node
+/// ids of its CSR form; throws std::length_error (code HYB001) if not.
+void check_node_id_range(std::size_t nodes);
 
 /// Outcome of the scan-infrastructure-independent checks (Sec. III-B plus
 /// the intra-segment extension documented in DESIGN.md). Violations of
@@ -98,7 +103,8 @@ class HybridAnalyzer {
     std::vector<Connection> rsn_connections;
   };
 
-  /// Finds one violation with a witnessing path, or nullopt if secure.
+  /// Finds one violation with a witnessing path, or nullopt if secure
+  /// (HybridViolationIndex::find_violation of a fresh index of `network`).
   std::optional<Violation> find_violation(const rsn::Rsn& network) const;
 
   /// Repeatedly detects and resolves violations by cutting RSN
@@ -132,9 +138,23 @@ class HybridAnalyzer {
   std::vector<netlist::ModuleId> owner_module_;  // per node
   std::vector<int> seed_token_;                  // per node, -1 = none
 
-  // Static adjacency (node -> successor nodes), path-dependent edges only.
-  std::vector<std::vector<std::size_t>> static_succ_;
-  std::vector<std::vector<std::size_t>> circuit_succ_;  // circuit closure only
+  // Propagation graph without the RSN inter-segment edges (path-dependent
+  // edges only), stored once in CSR form with 32-bit node ids: node n's
+  // successors are succ_[succ_off_[n] .. succ_off_[n + 1]). The static
+  // ones (shift order, capture, update) come first; the circuit-closure
+  // ones start at closure_off_[n].
+  std::vector<std::uint64_t> succ_off_;
+  std::vector<std::uint64_t> closure_off_;
+  std::vector<std::uint32_t> succ_;
+
+  /// Static and circuit-closure successors of node n.
+  std::span<const std::uint32_t> successors(std::size_t n) const {
+    return {succ_.data() + succ_off_[n], succ_.data() + succ_off_[n + 1]};
+  }
+  /// Circuit-closure successors of node n (the Sec. III-B graph).
+  std::span<const std::uint32_t> closure_successors(std::size_t n) const {
+    return {succ_.data() + closure_off_[n], succ_.data() + succ_off_[n + 1]};
+  }
 
   struct RsnEdge {
     rsn::ElemId from_reg, to_reg;
@@ -184,7 +204,7 @@ class HybridAnalyzer {
   std::vector<RsnEdge> build_rsn_edges(const rsn::Rsn& network) const;
 
   void build_nodes(const rsn::Rsn& layout);
-  void build_static_edges(const rsn::Rsn& layout);
+  void build_edges(const rsn::Rsn& layout);
   std::vector<TokenSet> run_worklist(
       const std::vector<std::vector<std::size_t>>& extra_succ,
       bool circuit_only) const;

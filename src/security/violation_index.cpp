@@ -67,23 +67,6 @@ HybridViolationIndex::HybridViolationIndex(const HybridAnalyzer& analyzer,
   reg_chains_.assign(net_.num_elements(), {});
   rsn_succ_.assign(nodes, {});
   rsn_pred_.assign(nodes, {});
-  // Flatten the (dense, immutable) static + circuit adjacency into one
-  // CSR array: the delta passes scan successor lists of thousands of
-  // nodes per query, where contiguous storage beats nested vectors.
-  fixed_succ_off_.assign(nodes + 1, 0);
-  for (std::size_t n = 0; n < nodes; ++n)
-    fixed_succ_off_[n + 1] =
-        fixed_succ_off_[n] +
-        static_cast<std::uint32_t>(a_.static_succ_[n].size() +
-                                   a_.circuit_succ_[n].size());
-  fixed_succ_.resize(fixed_succ_off_[nodes]);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    std::uint32_t o = fixed_succ_off_[n];
-    for (std::size_t t : a_.static_succ_[n])
-      fixed_succ_[o++] = static_cast<std::uint32_t>(t);
-    for (std::size_t t : a_.circuit_succ_[n])
-      fixed_succ_[o++] = static_cast<std::uint32_t>(t);
-  }
   std::vector<std::vector<std::size_t>> extra(nodes);
   for (ElemId r : net_.registers()) {
     HybridAnalyzer::append_register_chains(net_, fanout_, r, reg_chains_[r]);
@@ -344,9 +327,7 @@ std::size_t HybridViolationIndex::delta_analysis(
   while (!s.worklist.empty()) {
     std::size_t n = s.worklist.back();
     s.worklist.pop_back();
-    for (std::uint32_t i = fixed_succ_off_[n]; i < fixed_succ_off_[n + 1];
-         ++i)
-      discover(fixed_succ_[i]);
+    for (std::uint32_t t : a_.successors(n)) discover(t);
     for_each_trial_rsn_succ(n, discover);
   }
 
@@ -380,11 +361,8 @@ std::size_t HybridViolationIndex::delta_analysis(
     for (std::size_t p = 0; p < num_nodes; ++p) {
       if (s.holds_lost_mark[p] != s.epoch || s.affected_mark[p] == s.epoch)
         continue;
-      for (std::uint32_t i = fixed_succ_off_[p]; i < fixed_succ_off_[p + 1];
-           ++i) {
-        std::uint32_t t = fixed_succ_[i];
+      for (std::uint32_t t : a_.successors(p))
         if (s.affected_mark[t] == s.epoch) s.state[t].merge(state_[p]);
-      }
       // Committed inter-segment out-edges survive into the trial iff
       // their source register is not dirty; edges of dirty registers
       // are re-added from the rebuilt chains below.
@@ -455,9 +433,7 @@ std::size_t HybridViolationIndex::delta_analysis(
     TokenSet masked = nv;
     masked.subtract(push);
     if (masked.any()) {
-      for (std::uint32_t i = fixed_succ_off_[n]; i < fixed_succ_off_[n + 1];
-           ++i)
-        grow_to(masked, fixed_succ_[i]);
+      for (std::uint32_t t : a_.successors(n)) grow_to(masked, t);
       if (!dirty_from)
         for (std::size_t t : rsn_succ_[n]) grow_to(masked, t);
     }
@@ -526,63 +502,88 @@ void HybridViolationIndex::commit(const Rsn& network,
   fanout_ = rsn::FanoutIndex(net_);
 }
 
-std::optional<HybridAnalyzer::Violation> HybridViolationIndex::find_violation()
-    const {
-  // Mirror of HybridAnalyzer::find_violation, answered from the
-  // committed fixpoint: same rsn_edges order (chains concatenated in
-  // registers() order — exactly build_rsn_edges' emission order), same
-  // predecessor construction order, same BFS — so the same Violation.
-  std::vector<HybridAnalyzer::RsnEdge> rsn_edges;
+void HybridViolationIndex::build_witness_index() {
+  if (obs::TraceSession* trace = obs::TraceSession::active())
+    trace->counter("hybrid.witness_index_builds").add(1);
+  // Transpose of the analyzer's CSR by counting sort. Sources are scanned
+  // ascending and each source's static successors precede its closure
+  // ones, so every predecessor list is ordered by source, static first.
+  const std::size_t nodes = a_.num_nodes();
+  pred_off_.assign(nodes + 1, 0);
+  for (std::uint32_t t : a_.succ_) ++pred_off_[t + 1];
+  for (std::size_t n = 0; n < nodes; ++n) pred_off_[n + 1] += pred_off_[n];
+  pred_.resize(a_.succ_.size());
+  std::vector<std::uint64_t> cursor(pred_off_.begin(), pred_off_.end() - 1);
+  for (std::size_t n = 0; n < nodes; ++n)
+    for (std::uint32_t t : a_.successors(n))
+      pred_[cursor[t]++] = static_cast<std::uint32_t>(n);
+}
+
+std::optional<HybridAnalyzer::Violation>
+HybridViolationIndex::find_violation() {
+  if (pairs_ == 0) return std::nullopt;
+  if (pred_off_.empty()) build_witness_index();
+
+  // Inter-segment predecessors by head node. Chains concatenated in
+  // registers() order are build_rsn_edges' emission order; the stable
+  // sort keeps that order among the predecessors of one head.
+  struct RsnPred {
+    std::size_t to, from;
+    const HybridAnalyzer::RsnEdge* edge;
+  };
+  std::vector<RsnPred> rsn_preds;
   for (ElemId r : net_.registers())
     for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r])
-      rsn_edges.push_back(e);
+      rsn_preds.push_back(
+          {a_.scan_node(e.to_reg, 0), from_node(e.from_reg), &e});
+  std::stable_sort(
+      rsn_preds.begin(), rsn_preds.end(),
+      [](const RsnPred& x, const RsnPred& y) { return x.to < y.to; });
 
+  // Backward BFS from the first victim to a seed of its first bad token,
+  // over predecessors carrying it: fixed predecessors by source, then the
+  // inter-segment ones. reference::hybrid_find_violation (tests) walks
+  // the same order, and the witness and its cut candidates depend on it.
+  // Only the nodes a search visits are reset after it.
   const std::size_t nodes = state_.size();
-  struct Pred {
-    std::size_t node;
-    int rsn_edge;
-  };
-  std::vector<std::vector<Pred>> preds(nodes);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    for (std::size_t t : a_.static_succ_[n]) preds[t].push_back({n, -1});
-    for (std::size_t t : a_.circuit_succ_[n]) preds[t].push_back({n, -1});
-  }
-  for (std::size_t ei = 0; ei < rsn_edges.size(); ++ei) {
-    const HybridAnalyzer::RsnEdge& e = rsn_edges[ei];
-    std::size_t from =
-        a_.scan_node(e.from_reg, net_.elem(e.from_reg).ffs.size() - 1);
-    std::size_t to = a_.scan_node(e.to_reg, 0);
-    preds[to].push_back({from, static_cast<int>(ei)});
-  }
-
-  const std::vector<TokenSet>& state = state_;
+  std::vector<char> seen(nodes, 0);
+  std::vector<std::size_t> parent(nodes);
+  std::vector<const HybridAnalyzer::RsnEdge*> parent_edge(nodes);
+  std::vector<std::size_t> queue;
   for (std::size_t victim = 0; victim < nodes; ++victim) {
-    if (a_.owner_module_[victim] < 0) continue;
+    if (node_pairs_[victim] == 0) continue;
     TrustCategory t = a_.spec_.policy(a_.owner_module_[victim]).trust;
-    int tok = state[victim].first_common(a_.tokens_.bad(t));
-    if (tok < 0) continue;
+    const int tok = state_[victim].first_common(a_.tokens_.bad(t));
+    const auto tok_bit = static_cast<std::size_t>(tok);
 
-    std::vector<int> parent_edge(nodes, -2);
-    std::vector<std::size_t> parent(nodes, 0);
-    std::vector<bool> seen(nodes, false);
-    std::vector<std::size_t> queue{victim};
-    seen[victim] = true;
+    queue.assign(1, victim);
+    seen[victim] = 1;
     std::size_t seed = nodes;
+    auto visit = [&](std::size_t cur, std::size_t p,
+                     const HybridAnalyzer::RsnEdge* edge) {
+      if (seen[p] != 0 || !state_[p].test(tok_bit)) return;
+      seen[p] = 1;
+      parent[p] = cur;
+      parent_edge[p] = edge;
+      queue.push_back(p);
+    };
     for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      std::size_t cur = queue[qi];
+      const std::size_t cur = queue[qi];
       if (a_.seed_token_[cur] == tok && cur != victim) {
         seed = cur;
         break;
       }
-      for (const Pred& p : preds[cur]) {
-        if (seen[p.node]) continue;
-        if (!state[p.node].test(static_cast<std::size_t>(tok))) continue;
-        seen[p.node] = true;
-        parent[p.node] = cur;
-        parent_edge[p.node] = p.rsn_edge;
-        queue.push_back(p.node);
-      }
+      for (std::uint64_t i = pred_off_[cur]; i < pred_off_[cur + 1]; ++i)
+        visit(cur, pred_[i], nullptr);
+      auto lo = std::lower_bound(
+          rsn_preds.begin(), rsn_preds.end(), cur,
+          [](const RsnPred& x, std::size_t key) { return x.to < key; });
+      for (; lo != rsn_preds.end() && lo->to == cur; ++lo)
+        visit(cur, lo->from, lo->edge);
     }
+    for (std::size_t n : queue) seen[n] = 0;
+    // A victim whose token has no upstream seed cannot occur after spec
+    // validation; skip it rather than report a path-less witness.
     if (seed == nodes) continue;
 
     HybridAnalyzer::Violation v;
@@ -590,11 +591,10 @@ std::optional<HybridAnalyzer::Violation> HybridViolationIndex::find_violation()
     v.victim_node = victim;
     for (std::size_t cur = seed;; cur = parent[cur]) {
       v.node_path.push_back(cur);
-      if (parent_edge[cur] >= 0) {
-        const HybridAnalyzer::RsnEdge& e =
-            rsn_edges[static_cast<std::size_t>(parent_edge[cur])];
-        for (const Connection& c : e.chain) v.rsn_connections.push_back(c);
-      }
+      if (parent_edge[cur] != nullptr)
+        v.rsn_connections.insert(v.rsn_connections.end(),
+                                 parent_edge[cur]->chain.begin(),
+                                 parent_edge[cur]->chain.end());
       if (cur == victim) break;
     }
     return v;

@@ -116,11 +116,13 @@ class HybridViolationIndex {
   /// repairs read while a trial is applied.
   const rsn::FanoutIndex& fanout() const { return fanout_; }
 
-  /// HybridAnalyzer::find_violation of the committed network, answered
-  /// from the committed fixpoint instead of a fresh propagation. The
-  /// witnessing path and cut candidates are bit-identical to the from-
-  /// scratch result (same predecessor construction order, same state).
-  std::optional<HybridAnalyzer::Violation> find_violation() const;
+  /// One violation of the committed network with a witnessing path, or
+  /// nullopt if pairs() is 0 (answered at once). The victim is the first
+  /// node with a violating pair and the path a backward breadth-first
+  /// search to a seed of its first bad token, over the witness index
+  /// (built on first use) and the committed inter-segment chains. Not
+  /// const: the first call that finds a violation builds the index.
+  std::optional<HybridAnalyzer::Violation> find_violation();
 
  private:
   const HybridAnalyzer& a_;
@@ -137,11 +139,13 @@ class HybridViolationIndex {
   /// are idempotent so only multiplicity bookkeeping cares).
   std::vector<std::vector<std::size_t>> rsn_succ_;
   std::vector<std::vector<std::size_t>> rsn_pred_;
-  /// Static + circuit successors per node, flattened to CSR form (fixed
-  /// across rewirings; node n's successors are
-  /// fixed_succ_[fixed_succ_off_[n] .. fixed_succ_off_[n+1]]).
-  std::vector<std::uint32_t> fixed_succ_off_;
-  std::vector<std::uint32_t> fixed_succ_;
+  /// Witness index: predecessors over the analyzer's static + closure
+  /// edges (the transpose of its CSR), ordered by source with a source's
+  /// static edges first. Fixed across rewirings; built by the first
+  /// find_violation that has a violation to explain, so never while
+  /// pairs() stays 0.
+  std::vector<std::uint64_t> pred_off_;
+  std::vector<std::uint32_t> pred_;
   /// Element-level fanout of the committed network; trial fanout is this
   /// plus the patch derived from the trial's changed consumers.
   rsn::FanoutIndex fanout_;
@@ -149,6 +153,8 @@ class HybridViolationIndex {
 
   std::size_t node_pair_count(std::size_t node, const TokenSet& st) const;
   std::size_t from_node(rsn::ElemId reg) const;
+  /// Fills pred_off_/pred_ (counter hybrid.witness_index_builds).
+  void build_witness_index();
   /// Merged trial fanout of `x` into s.fanout_buf: committed entries of
   /// unchanged consumers + the trial-only patch, in FanoutIndex order.
   const std::vector<std::pair<rsn::ElemId, std::size_t>>& trial_fanout_of(

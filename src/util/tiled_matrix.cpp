@@ -746,18 +746,18 @@ std::vector<std::size_t> TiledDepMatrix::path_successors(
     std::size_t i) const {
   assert(i < n_);
   std::vector<std::size_t> out;
-  const std::size_t rb = i >> 6;
-  const std::size_t r = i & 63;
-  for (const Slot& s : rows_[rb].slots) {
-    const Tile* t = acquire(rb, s.cb, false);
-    std::uint64_t bits = t->p[r];
-    while (bits != 0) {
-      out.push_back(s.cb * 64 +
-                    static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-    }
-  }
+  for_each_path_successor(i, [&out](std::size_t j) { out.push_back(j); });
   return out;
+}
+
+std::size_t TiledDepMatrix::path_successor_count(std::size_t i) const {
+  assert(i < n_);
+  const std::size_t rb = i >> 6;
+  std::size_t count = 0;
+  for (const Slot& s : rows_[rb].slots)
+    count += static_cast<std::size_t>(
+        std::popcount(acquire(rb, s.cb, false)->p[i & 63]));
+  return count;
 }
 
 void TiledDepMatrix::for_each_entry(

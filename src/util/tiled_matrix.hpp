@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -140,6 +141,15 @@ class TiledDepMatrix {
   /// Column indices j with get(i, j) == Path, ascending.
   std::vector<std::size_t> path_successors(std::size_t i) const;
 
+  /// Number of j with get(i, j) == Path (path_successors(i).size(), by
+  /// popcount, without listing them).
+  std::size_t path_successor_count(std::size_t i) const;
+
+  /// Calls fn(j) for every j with get(i, j) == Path, ascending: the
+  /// allocation-free form of path_successors.
+  template <typename Fn>
+  void for_each_path_successor(std::size_t i, Fn&& fn) const;
+
   /// Calls fn(i, j, kind) for every non-None entry, ascending (i, j).
   void for_each_entry(
       const std::function<void(std::size_t, std::size_t, DepKind)>& fn) const;
@@ -217,5 +227,18 @@ class TiledDepMatrix {
   bool compose_round(const TiledDepMatrix& cur, const TiledDepMatrix& one,
                      ThreadPool* pool);
 };
+
+template <typename Fn>
+void TiledDepMatrix::for_each_path_successor(std::size_t i, Fn&& fn) const {
+  const std::size_t rb = i >> 6;
+  const std::size_t r = i & 63;
+  for (const Slot& s : rows_[rb].slots) {
+    std::uint64_t bits = acquire(rb, s.cb, false)->p[r];
+    while (bits != 0) {
+      fn(s.cb * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
+}
 
 }  // namespace rsnsec

@@ -106,6 +106,23 @@ TEST(VerilogParse, ErrorsCarryLineNumbers) {
   }
 }
 
+std::string parse_error(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    parse(is);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(VerilogParse, LineNumbersCountNewlinesInsideStrings) {
+  // The attribute's string spans lines 2-3, so the gate is on line 4.
+  EXPECT_EQ(parse_error("module m(input a);\n  (* instrument = \"x\ny\" *)\n"
+                        "  latch (q, a);\nendmodule\n"),
+            "verilog parse error at line 4: unknown primitive 'latch'");
+}
+
 TEST(VerilogParse, SequentialLoopAccepted) {
   std::istringstream is(R"(
 module m(input a);
@@ -123,16 +140,6 @@ TEST(VerilogParse, HeaderDirections) {
   ParsedCircuit c = parse(is);
   EXPECT_EQ(c.netlist.inputs().size(), 2u);
   EXPECT_EQ(c.outputs, std::vector<std::string>{"y"});
-}
-
-std::string parse_error(const std::string& text) {
-  std::istringstream is(text);
-  try {
-    parse(is);
-  } catch (const std::runtime_error& e) {
-    return e.what();
-  }
-  return "";
 }
 
 TEST(VerilogParse, TruncatedHeaderIsAnEndOfFileError) {

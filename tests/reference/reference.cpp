@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "netlist/cone_check.hpp"
+#include "rsn/access.hpp"
 
 namespace rsnsec::reference {
 
@@ -401,6 +402,157 @@ ResolveStats resolve_hybrid(const security::HybridAnalyzer& analyzer,
           if (net.elem(it->from).kind == ElemKind::Register) return it->from;
         throw std::runtime_error("hybrid reference found no register");
       });
+}
+
+std::optional<security::HybridAnalyzer::Violation> hybrid_find_violation(
+    const netlist::Netlist& nl, const Rsn& layout,
+    const dep::DependencyAnalyzer& deps, const security::SecuritySpec& spec,
+    const security::TokenTable& tokens, const Rsn& network) {
+  using security::TokenSet;
+  // Nodes: scan FFs by register in layout order, then circuit FFs.
+  std::vector<std::size_t> scan_base(layout.num_elements(), 0);
+  std::vector<netlist::ModuleId> owner;
+  for (ElemId r : layout.registers()) {
+    scan_base[r] = owner.size();
+    owner.insert(owner.end(), layout.elem(r).ffs.size(), layout.elem(r).module);
+  }
+  const std::size_t circuit_base = owner.size();
+  for (std::size_t i = 0; i < deps.num_circuit_ffs(); ++i)
+    owner.push_back(nl.node(deps.circuit_ff(i)).module);
+  const std::size_t nodes = owner.size();
+  std::vector<int> seed(nodes, -1);
+  for (std::size_t n = 0; n < nodes; ++n)
+    if (n < circuit_base || !deps.is_internal(n - circuit_base))
+      seed[n] = tokens.token_of(owner[n]);
+  auto scan = [&](ElemId r, std::size_t f) { return scan_base[r] + f; };
+  auto circuit = [&](NodeId ff) {
+    return circuit_base + deps.circuit_index(ff);
+  };
+
+  // Static and closure successors (path-dependent edges only).
+  std::vector<std::vector<std::size_t>> static_succ(nodes);
+  std::vector<std::vector<std::size_t>> circuit_succ(nodes);
+  for (ElemId r : layout.registers()) {
+    const rsn::Element& e = layout.elem(r);
+    for (std::size_t f = 0; f < e.ffs.size(); ++f) {
+      if (f + 1 < e.ffs.size()) static_succ[scan(r, f)].push_back(scan(r, f + 1));
+      for (const dep::CaptureDep& d : deps.capture_deps(r, f))
+        if (d.kind == DepKind::Path)
+          static_succ[circuit(d.circuit_ff)].push_back(scan(r, f));
+      if (e.ffs[f].update_dst != netlist::no_node)
+        static_succ[scan(r, f)].push_back(circuit(e.ffs[f].update_dst));
+    }
+  }
+  for (std::size_t i = 0; i < deps.num_circuit_ffs(); ++i) {
+    if (deps.is_internal(i)) continue;
+    for (std::size_t j : deps.closure_path_successors(i))
+      if (i != j) circuit_succ[circuit_base + i].push_back(circuit_base + j);
+  }
+
+  // Inter-segment chains: per register, a DFS over mux-only element
+  // chains (at most 256 per register), in registers() order.
+  struct Chain {
+    ElemId from, to;
+    std::vector<Connection> conns;
+  };
+  std::vector<Chain> chains;
+  rsn::FanoutIndex fanout(network);
+  for (ElemId r : network.registers()) {
+    std::size_t emitted = 0;
+    std::vector<std::pair<ElemId, std::vector<Connection>>> stack{{r, {}}};
+    while (!stack.empty() && emitted < 256) {
+      auto [cur, chain] = std::move(stack.back());
+      stack.pop_back();
+      for (auto [to, port] : fanout.of(cur)) {
+        std::vector<Connection> next = chain;
+        next.push_back({cur, to, port});
+        if (network.elem(to).kind == ElemKind::Register) {
+          chains.push_back({r, to, std::move(next)});
+          ++emitted;
+        } else if (network.elem(to).kind == ElemKind::Mux) {
+          stack.push_back({to, std::move(next)});
+        }
+      }
+    }
+  }
+
+  // Predecessors with provenance (-1 = static/closure, else a chain).
+  struct Pred {
+    std::size_t node;
+    int chain;
+  };
+  std::vector<std::vector<Pred>> preds(nodes);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    for (std::size_t t : static_succ[n]) preds[t].push_back({n, -1});
+    for (std::size_t t : circuit_succ[n]) preds[t].push_back({n, -1});
+  }
+  std::vector<std::vector<std::size_t>> rsn_succ(nodes);
+  for (std::size_t ci = 0; ci < chains.size(); ++ci) {
+    const std::size_t from =
+        scan(chains[ci].from, network.elem(chains[ci].from).ffs.size() - 1);
+    const std::size_t to = scan(chains[ci].to, 0);
+    rsn_succ[from].push_back(to);
+    preds[to].push_back({from, static_cast<int>(ci)});
+  }
+
+  // Least fixpoint of the token propagation.
+  std::vector<TokenSet> state(nodes);
+  std::vector<std::size_t> work;
+  for (std::size_t n = 0; n < nodes; ++n) {
+    if (seed[n] < 0) continue;
+    state[n].set(static_cast<std::size_t>(seed[n]));
+    work.push_back(n);
+  }
+  while (!work.empty()) {
+    const std::size_t n = work.back();
+    work.pop_back();
+    for (const auto* succ : {&static_succ[n], &circuit_succ[n], &rsn_succ[n]})
+      for (std::size_t t : *succ)
+        if (state[t].merge(state[n])) work.push_back(t);
+  }
+
+  for (std::size_t victim = 0; victim < nodes; ++victim) {
+    if (owner[victim] < 0) continue;
+    const int tok =
+        state[victim].first_common(tokens.bad(spec.policy(owner[victim]).trust));
+    if (tok < 0) continue;
+    std::vector<int> parent_chain(nodes, -1);
+    std::vector<std::size_t> parent(nodes, 0);
+    std::vector<bool> seen(nodes, false);
+    std::vector<std::size_t> queue{victim};
+    seen[victim] = true;
+    std::size_t origin = nodes;
+    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+      const std::size_t cur = queue[qi];
+      if (seed[cur] == tok && cur != victim) {
+        origin = cur;
+        break;
+      }
+      for (const Pred& p : preds[cur]) {
+        if (seen[p.node] || !state[p.node].test(static_cast<std::size_t>(tok)))
+          continue;
+        seen[p.node] = true;
+        parent[p.node] = cur;
+        parent_chain[p.node] = p.chain;
+        queue.push_back(p.node);
+      }
+    }
+    if (origin == nodes) continue;
+    security::HybridAnalyzer::Violation v;
+    v.token = tok;
+    v.victim_node = victim;
+    for (std::size_t cur = origin;; cur = parent[cur]) {
+      v.node_path.push_back(cur);
+      if (parent_chain[cur] >= 0) {
+        const Chain& c = chains[static_cast<std::size_t>(parent_chain[cur])];
+        v.rsn_connections.insert(v.rsn_connections.end(), c.conns.begin(),
+                                 c.conns.end());
+      }
+      if (cur == victim) break;
+    }
+    return v;
+  }
+  return std::nullopt;
 }
 
 }  // namespace rsnsec::reference

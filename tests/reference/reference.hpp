@@ -20,12 +20,16 @@
 //    find_violation / count_violating_pairs from scratch every iteration
 //    and select cuts with a sequential trial loop over the reference
 //    rewiring.
+//  - Hybrid witness search: the propagation graph as nested successor
+//    vectors and a fresh predecessor list per query, the form the
+//    violation index's compact graph and lazy predecessor index replaced.
 //  - Verilog reading: the multi-pass reader that retried every
 //    unresolved gate per pass, kept to check the single-pass reader's
 //    node order, nets and errors.
 
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,6 +110,18 @@ security::ResolveStats resolve_hybrid(
     std::vector<security::AppliedChange>* log,
     security::ResolutionPolicy policy);
 
+/// Reference HybridViolationIndex::find_violation for `network`, with
+/// the HybridAnalyzer's node numbering over `layout` (the network the
+/// analyzer was built from): a from-scratch propagation over nested
+/// static, closure and inter-segment successor lists, then per-query
+/// predecessor lists (sources ascending, static before closure, then the
+/// inter-segment edges in chain order) for a backward BFS from the first
+/// violating node to a seed of its first bad token.
+std::optional<security::HybridAnalyzer::Violation> hybrid_find_violation(
+    const netlist::Netlist& nl, const rsn::Rsn& layout,
+    const dep::DependencyAnalyzer& deps, const security::SecuritySpec& spec,
+    const security::TokenTable& tokens, const rsn::Rsn& network);
+
 // ---------------------------------------------------------- Verilog reading
 
 /// Reference netlist::verilog::parse: the whole file lexed into a vector
@@ -115,8 +131,9 @@ security::ResolveStats resolve_hybrid(
 /// constant literal it reads up to its first undriven net, so a gate
 /// deferred to a later pass leaves unused constant nodes behind; it also
 /// loops forever on some truncated files (a header or gate argument list
-/// cut off at end of file). Compare on complete files without constant
-/// literals.
+/// cut off at end of file), and its lexer does not count newlines inside
+/// string literals, so on such files its error lines are too low. Compare
+/// on complete files without constant literals or multi-line strings.
 netlist::verilog::ParsedCircuit parse_verilog(std::istream& is);
 
 }  // namespace rsnsec::reference

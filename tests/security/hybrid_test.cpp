@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "dep/analyzer.hpp"
 
 namespace rsnsec::security {
@@ -34,6 +37,21 @@ struct Analysis {
     return d;
   }
 };
+
+TEST(Hybrid, NodeIdRangeIsCheckedNotWrapped) {
+  // The propagation graph stores 32-bit node ids; a graph with more nodes
+  // fails with a coded error instead of wrapping ids (checked through the
+  // range seam, without building such a graph).
+  const std::size_t limit = std::size_t{1} << 32;
+  EXPECT_NO_THROW(check_node_id_range(limit - 1));
+  try {
+    check_node_id_range(limit);
+    FAIL() << "2^32 nodes accepted";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("HYB001"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Hybrid, DetectsUpdateCircuitViolation) {
   // regC (conf, captures cf) -> RSN -> regR (relay, updates rf);

@@ -636,6 +636,7 @@ struct CounterGate {
   const char* scale;
   const char* seed;
   long long trials, delta_queries, pure_iterations, changes_applied;
+  long long witness_index_builds;
 };
 
 // Work counters of the full pipeline on fixed workloads. Selections are
@@ -645,8 +646,8 @@ struct CounterGate {
 // differently — a regression gate that needs no clock.
 TEST_F(CliTest, SecureWorkCountersMatchRecordedValues) {
   const CounterGate gates[] = {
-      {"FlexScan", "0.02", "2", 3189, 3214, 23, 25},
-      {"q12710", "0.35", "3", 17, 19, 1, 2},
+      {"FlexScan", "0.02", "2", 3189, 3214, 23, 25, 1},
+      {"q12710", "0.35", "3", 17, 19, 1, 2, 1},
   };
   for (const CounterGate& g : gates) {
     SCOPED_TRACE(g.benchmark);
@@ -670,7 +671,30 @@ TEST_F(CliTest, SecureWorkCountersMatchRecordedValues) {
               g.pure_iterations);
     EXPECT_EQ(report_counter(report, "rewire.changes_applied"),
               g.changes_applied);
+    // The hybrid stage builds its witness index once, on its first
+    // violation, whatever the number of changes.
+    EXPECT_EQ(report_counter(report, "hybrid.witness_index_builds"),
+              g.witness_index_builds);
   }
+}
+
+TEST_F(CliTest, SecureWithoutHybridViolationsBuildsNoWitnessIndex) {
+  // FlexScan seed 1 has pure violations only: the hybrid stage finds
+  // pairs() == 0 and answers without building the witness index.
+  ASSERT_EQ(run_cli({"generate", "--benchmark", "FlexScan", "--scale", "0.02",
+                     "--seed", "1", "--out-rsn", path("net.rsn"),
+                     "--out-verilog", path("ckt.v"), "--out-spec",
+                     path("policy.spec")}),
+            0)
+      << err_.str();
+  ASSERT_EQ(run_cli({"secure", "--rsn", path("net.rsn"), "--verilog",
+                     path("ckt.v"), "--spec", path("policy.spec"), "--out",
+                     path("out.rsn"), "--json", "--metrics"}),
+            0)
+      << err_.str();
+  const std::string report = out_.str();
+  EXPECT_EQ(report_counter(report, "resolve.hybrid_iterations"), -1);
+  EXPECT_LE(report_counter(report, "hybrid.witness_index_builds"), 0);
 }
 
 }  // namespace

@@ -89,6 +89,7 @@ TEST(TiledDepMatrix, SuccessorsMatchDense) {
       if (dense.get(i, j) == DepKind::Path) dense_path.push_back(j);
     }
     EXPECT_EQ(dense_path, tiled.path_successors(i));
+    EXPECT_EQ(dense_path.size(), tiled.path_successor_count(i));
   }
 }
 
