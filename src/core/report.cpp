@@ -106,7 +106,6 @@ void write_json(std::ostream& os, const PipelineResult& r) {
      << "    \"regions\": " << r.dep_stats.regions << ",\n"
      << "    \"matrix_bytes\": " << r.dep_stats.matrix_bytes << ",\n"
      << "    \"tiles_nonzero\": " << r.dep_stats.tiles_nonzero << ",\n"
-     << "    \"tiles_spilled\": " << r.dep_stats.tiles_spilled << ",\n"
      << "    \"circuit_ffs\": " << r.dep_stats.circuit_ffs << ",\n"
      << "    \"internal_ffs\": " << r.dep_stats.internal_ffs << ",\n"
      << "    \"deps_before_bridging\": " << r.dep_stats.deps_before_bridging
@@ -180,8 +179,7 @@ void write_analyze_json(std::ostream& os, const AnalyzeReport& r) {
      << "\", \"dep_ternary_resolved\": " << r.dep_stats.ternary_resolved
      << ", \"dep_regions\": " << r.dep_stats.regions
      << ", \"dep_matrix_bytes\": " << r.dep_stats.matrix_bytes
-     << ", \"dep_tiles_nonzero\": " << r.dep_stats.tiles_nonzero
-     << ", \"dep_tiles_spilled\": " << r.dep_stats.tiles_spilled << "}";
+     << ", \"dep_tiles_nonzero\": " << r.dep_stats.tiles_nonzero << "}";
 }
 
 void write_csv(std::ostream& os, const std::vector<BenchRow>& rows) {

@@ -162,7 +162,6 @@ void DependencyAnalyzer::partition_regions() {
 void DependencyAnalyzer::refresh_matrix_stats() {
   stats_.matrix_bytes = one_cycle_.memory_bytes() + closure_.memory_bytes();
   stats_.tiles_nonzero = one_cycle_.tiles_nonzero() + closure_.tiles_nonzero();
-  stats_.tiles_spilled = one_cycle_.tiles_spilled() + closure_.tiles_spilled();
 }
 
 void DependencyAnalyzer::extract_capture_cones() {
@@ -350,8 +349,6 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
 
 void DependencyAnalyzer::compute_one_cycle() {
   one_cycle_ = TiledDepMatrix(ff_nodes_.size());
-  if (options_.spill_backend != nullptr && options_.tile_spill_budget > 0)
-    one_cycle_.set_spill(options_.spill_backend, options_.tile_spill_budget);
 
   // One task per cone: first every circuit flip-flop's next-state cone,
   // then every scan FF's capture cone (cached by extract_capture_cones).
@@ -558,9 +555,7 @@ void DependencyAnalyzer::compute_one_cycle() {
 
 void DependencyAnalyzer::bridge_internal() {
   const std::size_t n = ff_nodes_.size();
-  closure_ = one_cycle_;  // deep copy, detached from spill
-  if (options_.spill_backend != nullptr && options_.tile_spill_budget > 0)
-    closure_.set_spill(options_.spill_backend, options_.tile_spill_budget);
+  closure_ = one_cycle_;  // deep copy
   if (!options_.bridge_internal) {
     stats_.deps_after_bridging = stats_.deps_before_bridging;
     stats_.denoted_ffs_after = stats_.denoted_ffs_before;
@@ -662,17 +657,8 @@ void DependencyAnalyzer::bridge_internal() {
     }
   };
   // Each region touches only its own row blocks, so regions are
-  // parallel-safe — except in spill mode, where fault-in mutates the
-  // matrix-wide eviction state (kernels are sequential there anyway).
-  ThreadPool* pool =
-      options_.spill_backend != nullptr && options_.tile_spill_budget > 0
-          ? nullptr
-          : pool_;
-  if (pool != nullptr) {
-    pool->parallel_for(0, num_regions, bridge_region, /*grain=*/1);
-  } else {
-    for (std::size_t reg = 0; reg < num_regions; ++reg) bridge_region(reg);
-  }
+  // parallel-safe.
+  pool_->parallel_for(0, num_regions, bridge_region, /*grain=*/1);
   for (std::size_t v = 0; v < n; ++v) {
     if (internal_[v] && cross[v]) closure_.eliminate(v);
   }
@@ -691,7 +677,7 @@ void DependencyAnalyzer::compute_closure() {
     std::vector<bool> active(ff_nodes_.size());
     for (std::size_t i = 0; i < ff_nodes_.size(); ++i)
       active[i] = !options_.bridge_internal || !internal_[i];
-    closure_.transitive_closure(&active, pool_);
+    closure_.transitive_closure(&active);
   }
   stats_.closure_deps = closure_.count_nonzero();
   stats_.closure_path_deps = closure_.count_path();
@@ -754,7 +740,6 @@ void DependencyAnalyzer::run() {
     trace->counter("dep.regions").add(stats_.regions);
     trace->counter("dep.matrix_bytes").add(stats_.matrix_bytes);
     trace->counter("dep.tiles_nonzero").add(stats_.tiles_nonzero);
-    trace->counter("dep.tiles_spilled").add(stats_.tiles_spilled);
   }
   pool_ = nullptr;
 }
@@ -767,8 +752,6 @@ const std::vector<CaptureDep>& DependencyAnalyzer::capture_deps(
 DependencyAnalyzer::AnalysisSnapshot DependencyAnalyzer::snapshot() const {
   AnalysisSnapshot snap;
   snap.internal = internal_;
-  // The copies fault every spilled tile in and detach from the backend:
-  // a snapshot is self-contained by definition.
   snap.one_cycle = one_cycle_;
   snap.closure = closure_;
   snap.capture_deps = capture_deps_;
@@ -818,8 +801,8 @@ bool DependencyAnalyzer::restore(AnalysisSnapshot snap, std::string* error) {
   stats_.t_bridge = 0.0;
   stats_.t_closure = 0.0;
   stats_.threads_used = 0;
-  // Footprint counters reflect the restored (fully resident, unspilled)
-  // matrices, not the producing run's.
+  // Footprint counters reflect the restored matrices, not the producing
+  // run's.
   refresh_matrix_stats();
   return true;
 }

@@ -54,7 +54,8 @@ struct DepOptions {
   /// because isomorphic cones share a signature, one classification
   /// serves every cone of the same shape (the cone cache).
   std::uint64_t seed = 1;
-  /// Worker threads for the cone fan-out and the closure's row blocks.
+  /// Worker threads for the cone fan-out, the region bridging and the
+  /// bounded closure's row blocks.
   /// 0 = auto: the RSNSEC_JOBS environment variable if set, else
   /// std::thread::hardware_concurrency(). Any value yields bit-identical
   /// results (see ThreadPool and the per-cone RNG streams). Ignored when
@@ -66,16 +67,6 @@ struct DepOptions {
   /// bit-identical, so it is excluded from cache keys. The serve
   /// scheduler uses this to share one pool across concurrent requests.
   ThreadPool* pool = nullptr;
-  /// Resident-byte budget per tiled matrix before tiles spill to
-  /// `spill_backend` (0 = keep everything resident). Execution knob:
-  /// results and every DepStats counter except the footprint pair
-  /// tiles_spilled / matrix_bytes (resident bytes shrink with the budget)
-  /// are identical for any budget, so it is not part of cache keys.
-  std::uint64_t tile_spill_budget = 0;
-  /// Out-of-core destination for spilled tiles (not owned; must outlive
-  /// the analyzer). Typically a store::ArtifactSpillBackend. Ignored
-  /// unless the budget is > 0.
-  TileSpillBackend* spill_backend = nullptr;
 };
 
 /// Instrumentation counters of one analysis run.
@@ -121,10 +112,9 @@ struct DepStats {
   /// circuit — independent of num_threads — so it is part of the logical
   /// result and cached in snapshots.
   std::size_t regions = 0;
-  /// Resident heap bytes of the one-cycle + closure matrices.
+  /// Heap bytes of the one-cycle + closure matrices.
   std::uint64_t matrix_bytes = 0;
   std::uint64_t tiles_nonzero = 0;  ///< denoted 64x64 tiles
-  std::uint64_t tiles_spilled = 0;  ///< cumulative spill evictions this run
   std::size_t threads_used = 0;  ///< resolved parallelism of the run
   /// Per-phase wall-clock seconds (cone classification incl. the
   /// simulation prefilter and SAT, internal-FF bridging, multi-cycle
@@ -290,8 +280,8 @@ class DependencyAnalyzer {
   /// along module boundaries. Pure function of the circuit —
   /// independent of num_threads — so partitioned results are reproducible.
   void partition_regions();
-  /// Recomputes the footprint stats (matrix_bytes, tiles_nonzero,
-  /// tiles_spilled) from the live matrices.
+  /// Recomputes the footprint stats (matrix_bytes, tiles_nonzero) from
+  /// the live matrices.
   void refresh_matrix_stats();
   void extract_capture_cones();
   void classify_internal();

@@ -125,8 +125,8 @@ rsn::Rsn decode_rsn(ByteReader& r);
 /// Canonical encoding of a TiledDepMatrix: dimension, non-zero tile
 /// count, then each tile as (row block, column block, 128 little-endian
 /// words) in strictly ascending (row block, column block) order — the
-/// size is proportional to the denoted tiles, not n^2, which is the point
-/// of spilling large matrices through the store. Decode validates tile
+/// size is proportional to the denoted tiles, not n^2, so large analyses
+/// stay cheap to cache. Decode validates tile
 /// order, range, non-zero payload, clear edge-tail bits and the
 /// P-implies-S invariant (via TiledDepMatrix::insert_tile).
 void encode_tiled_matrix(ByteWriter& w, const TiledDepMatrix& m);

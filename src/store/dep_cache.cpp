@@ -19,9 +19,7 @@ void encode_options_fingerprint(ByteWriter& w,
   w.varint(options.sat_conflict_limit);
   w.varint(options.max_cycles);
   w.varint(options.seed);
-  // NOT num_threads: bit-identical at any thread count. NOT
-  // tile_spill_budget / spill_backend: pure execution knobs — the
-  // snapshot is always fully resident.
+  // NOT num_threads or pool: bit-identical at any thread count.
 }
 
 void encode_bits(ByteWriter& w, const std::vector<bool>& bits) {

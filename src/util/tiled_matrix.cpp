@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -21,7 +20,6 @@ namespace {
 constexpr std::size_t kMinParallelBlocks = 4;
 
 constexpr std::size_t kTileBytes = sizeof(TiledDepMatrix::Tile);
-constexpr std::size_t kTileWords = 128;  // 64 S rows + 64 P rows
 
 /// OR `words` 64-bit words of src into dst, four lanes at a time. memcpy
 /// in and out of Word256 keeps it strict-aliasing clean; the copies
@@ -65,111 +63,33 @@ std::size_t tile_popcount(const std::uint64_t* rows) {
   return c;
 }
 
-/// Portable little-endian tile serialization: 64 S words then 64 P words.
-std::string serialize_tile(const TiledDepMatrix::Tile& t) {
-  std::string out(kTileWords * 8, '\0');
-  const std::uint64_t* words = t.s;  // s and p are contiguous in the POD
-  for (std::size_t w = 0; w < kTileWords; ++w) {
-    const std::uint64_t v = words[w];
-    for (std::size_t b = 0; b < 8; ++b) {
-      out[w * 8 + b] = static_cast<char>((v >> (8 * b)) & 0xff);
-    }
-  }
-  return out;
-}
-
-bool deserialize_tile(const std::string& bytes, TiledDepMatrix::Tile* t) {
-  if (bytes.size() != kTileWords * 8) return false;
-  std::uint64_t* words = t->s;
-  for (std::size_t w = 0; w < kTileWords; ++w) {
-    std::uint64_t v = 0;
-    for (std::size_t b = 0; b < 8; ++b) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes[w * 8 + b]))
-           << (8 * b);
-    }
-    words[w] = v;
-  }
-  return true;
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (std::size_t i = 0; i < 16; ++i) {
-    out[15 - i] = kDigits[(v >> (4 * i)) & 0xf];
-  }
-  return out;
-}
-
 bool use_pool(const ThreadPool* pool, std::size_t blocks) {
   return pool != nullptr && pool->num_threads() > 1 &&
          blocks >= kMinParallelBlocks;
 }
 
+/// First slot with column block >= cb in a row block's sorted slots.
+template <typename Slots>
+auto lower_slot(Slots& slots, std::size_t cb) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), cb,
+      [](const auto& s, std::size_t c) { return s.cb < c; });
+}
+
 }  // namespace
 
-static_assert(offsetof(TiledDepMatrix::Tile, p) == 64 * sizeof(std::uint64_t),
-              "tile planes must be contiguous for serialization");
-
 // ---------------------------------------------------------------------------
-// InMemorySpillBackend
-
-std::string InMemorySpillBackend::store(std::string_view bytes) {
-  std::string handle = hex64(fnv1a64(bytes));
-  for (;;) {
-    auto it = std::find_if(
-        objects_.begin(), objects_.end(),
-        [&](const auto& o) { return o.first == handle; });
-    if (it == objects_.end()) {
-      objects_.emplace_back(handle, std::string(bytes));
-      return handle;
-    }
-    if (it->second == bytes) return handle;  // content-addressed dedup
-    handle += '+';  // hash collision: probe to the next free handle
-  }
-}
-
-bool InMemorySpillBackend::fetch(const std::string& handle,
-                                 std::string* out) {
-  for (const auto& o : objects_) {
-    if (o.first == handle) {
-      *out = o.second;
-      return true;
-    }
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// TiledDepMatrix: construction, spill plumbing, element access
+// TiledDepMatrix: construction, element access
 
 TiledDepMatrix::TiledDepMatrix(std::size_t n)
     : n_(n), nb_((n + 63) / 64), rows_(nb_) {}
 
 TiledDepMatrix::TiledDepMatrix(const TiledDepMatrix& o)
     : n_(o.n_), nb_(o.nb_), rows_(o.nb_) {
-  // The copy is fully resident and detached from any spill backend:
-  // snapshots must stay readable even if the source keeps evicting.
   for (std::size_t rb = 0; rb < nb_; ++rb) {
     rows_[rb].slots.reserve(o.rows_[rb].slots.size());
-    for (const Slot& s : o.rows_[rb].slots) {
-      Tile* src = o.acquire(rb, s.cb, /*create=*/false);
-      assert(src != nullptr);
-      Slot copy;
-      copy.cb = s.cb;
-      copy.tile = std::make_unique<Tile>(*src);
-      rows_[rb].slots.push_back(std::move(copy));
-    }
+    for (const Slot& s : o.rows_[rb].slots)
+      rows_[rb].slots.push_back(Slot{s.cb, std::make_unique<Tile>(*s.tile)});
   }
 }
 
@@ -181,128 +101,39 @@ TiledDepMatrix& TiledDepMatrix::operator=(const TiledDepMatrix& o) {
   return *this;
 }
 
-void TiledDepMatrix::set_spill(TileSpillBackend* backend,
-                               std::uint64_t budget_bytes) {
-  if (backend == nullptr && backend_ != nullptr) {
-    // Detach: everything must be resident before the backend goes away.
-    for (std::size_t rb = 0; rb < nb_; ++rb) {
-      for (Slot& s : rows_[rb].slots) {
-        if (!s.tile) fault_in(s);
-        s.handle.clear();
-        s.dirty = true;
-      }
-    }
-  }
-  backend_ = backend;
-  budget_bytes_ = budget_bytes;
-  resident_ = 0;
-  if (backend_ != nullptr) {
-    for (const RowBlock& row : rows_) {
-      for (const Slot& s : row.slots) {
-        if (s.tile) ++resident_;
-      }
-    }
-    checkpoint();
-  }
-}
-
 std::uint64_t TiledDepMatrix::edge_mask(std::size_t block) const {
   if (block + 1 == nb_ && n_ % 64 != 0) return (1ULL << (n_ % 64)) - 1;
   return ~0ULL;
 }
 
-const TiledDepMatrix::Slot* TiledDepMatrix::find_slot(std::size_t rb,
-                                                      std::size_t cb) const {
-  const auto& slots = rows_[rb].slots;
-  auto it = std::lower_bound(
-      slots.begin(), slots.end(), cb,
-      [](const Slot& s, std::size_t c) { return s.cb < c; });
-  if (it == slots.end() || it->cb != cb) return nullptr;
-  return &*it;
+TiledDepMatrix::Tile* TiledDepMatrix::find_tile(std::size_t rb,
+                                                std::size_t cb) {
+  auto& slots = rows_[rb].slots;
+  auto it = lower_slot(slots, cb);
+  return it != slots.end() && it->cb == cb ? it->tile.get() : nullptr;
 }
 
-void TiledDepMatrix::fault_in(const Slot& s) const {
-  assert(backend_ != nullptr && !s.tile && !s.handle.empty());
-  std::string bytes;
-  if (!backend_->fetch(s.handle, &bytes)) {
-    throw std::runtime_error("tiled matrix: spilled tile lost by backend");
+TiledDepMatrix::Tile* TiledDepMatrix::find_or_create(std::size_t rb,
+                                                     std::size_t cb) {
+  auto& slots = rows_[rb].slots;
+  auto it = lower_slot(slots, cb);
+  if (it == slots.end() || it->cb != cb) {
+    it = slots.insert(
+        it, Slot{static_cast<std::uint32_t>(cb), std::make_unique<Tile>()});
   }
-  auto tile = std::make_unique<Tile>();
-  if (!deserialize_tile(bytes, tile.get())) {
-    throw std::runtime_error("tiled matrix: corrupt spilled tile");
-  }
-  s.tile = std::move(tile);
-  s.dirty = false;
-  ++resident_;
-}
-
-TiledDepMatrix::Tile* TiledDepMatrix::acquire(std::size_t rb, std::size_t cb,
-                                              bool create) const {
-  auto& slots = const_cast<RowBlock&>(rows_[rb]).slots;
-  auto it = std::lower_bound(
-      slots.begin(), slots.end(), cb,
-      [](const Slot& s, std::size_t c) { return s.cb < c; });
-  if (it != slots.end() && it->cb == cb) {
-    if (!it->tile) fault_in(*it);
-    if (backend_ != nullptr) {
-      it->stamp = ++clock_;
-      it->dirty = true;
-    }
-    return it->tile.get();
-  }
-  if (!create) return nullptr;
-  Slot s;
-  s.cb = static_cast<std::uint32_t>(cb);
-  s.tile = std::make_unique<Tile>();
-  std::memset(s.tile.get(), 0, kTileBytes);
-  if (backend_ != nullptr) {
-    s.stamp = ++clock_;
-    ++resident_;
-  }
-  return slots.insert(it, std::move(s))->tile.get();
+  return it->tile.get();
 }
 
 void TiledDepMatrix::prune_if_zero(std::size_t rb, std::size_t cb) {
   auto& slots = rows_[rb].slots;
-  auto it = std::lower_bound(
-      slots.begin(), slots.end(), cb,
-      [](const Slot& s, std::size_t c) { return s.cb < c; });
-  if (it == slots.end() || it->cb != cb) return;
-  if (!it->tile || !tile_is_zero(*it->tile)) return;
-  if (backend_ != nullptr) --resident_;
-  slots.erase(it);
-}
-
-void TiledDepMatrix::checkpoint() const {
-  if (backend_ == nullptr) return;
-  if (resident_ * kTileBytes <= budget_bytes_) return;
-  // Least-recently-stamped first. The scan is linear in the slot count;
-  // checkpoints only run between tile operations, never per bit.
-  std::vector<std::pair<std::uint64_t, Slot*>> resident;
-  resident.reserve(resident_);
-  for (const RowBlock& row : rows_) {
-    for (const Slot& s : row.slots) {
-      if (s.tile) resident.emplace_back(s.stamp, const_cast<Slot*>(&s));
-    }
-  }
-  std::sort(resident.begin(), resident.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [stamp, slot] : resident) {
-    if (resident_ * kTileBytes <= budget_bytes_) break;
-    (void)stamp;
-    if (slot->dirty || slot->handle.empty()) {
-      slot->handle = backend_->store(serialize_tile(*slot->tile));
-      slot->dirty = false;
-    }
-    slot->tile.reset();
-    --resident_;
-    ++tiles_spilled_;
-  }
+  auto it = lower_slot(slots, cb);
+  if (it != slots.end() && it->cb == cb && tile_is_zero(*it->tile))
+    slots.erase(it);
 }
 
 DepKind TiledDepMatrix::get(std::size_t i, std::size_t j) const {
   assert(i < n_ && j < n_);
-  const Tile* t = acquire(i >> 6, j >> 6, /*create=*/false);
+  const Tile* t = tile_at(i >> 6, j >> 6);
   if (t == nullptr) return DepKind::None;
   const std::uint64_t b = 1ULL << (j & 63);
   if (t->p[i & 63] & b) return DepKind::Path;
@@ -313,16 +144,16 @@ DepKind TiledDepMatrix::get(std::size_t i, std::size_t j) const {
 void TiledDepMatrix::upgrade(std::size_t i, std::size_t j, DepKind k) {
   assert(i < n_ && j < n_);
   if (k == DepKind::None) return;
-  Tile* t = acquire(i >> 6, j >> 6, /*create=*/true);
+  Tile* t = find_or_create(i >> 6, j >> 6);
   const std::uint64_t b = 1ULL << (j & 63);
   t->s[i & 63] |= b;
   if (k == DepKind::Path) t->p[i & 63] |= b;
-  checkpoint();
 }
 
 void TiledDepMatrix::set(std::size_t i, std::size_t j, DepKind k) {
   assert(i < n_ && j < n_);
-  Tile* t = acquire(i >> 6, j >> 6, /*create=*/k != DepKind::None);
+  Tile* t = k != DepKind::None ? find_or_create(i >> 6, j >> 6)
+                               : find_tile(i >> 6, j >> 6);
   if (t == nullptr) return;
   const std::uint64_t b = 1ULL << (j & 63);
   t->s[i & 63] &= ~b;
@@ -330,7 +161,6 @@ void TiledDepMatrix::set(std::size_t i, std::size_t j, DepKind k) {
   if (k != DepKind::None) t->s[i & 63] |= b;
   if (k == DepKind::Path) t->p[i & 63] |= b;
   prune_if_zero(i >> 6, j >> 6);
-  checkpoint();
 }
 
 void TiledDepMatrix::clear_node(std::size_t i) {
@@ -340,41 +170,29 @@ void TiledDepMatrix::clear_node(std::size_t i) {
   const std::uint64_t ibit = 1ULL << ir;
   // Row i: zero the local row of every tile in block row ib.
   for (Slot& s : rows_[ib].slots) {
-    Tile* t = acquire(ib, s.cb, false);
-    t->s[ir] = 0;
-    t->p[ir] = 0;
+    s.tile->s[ir] = 0;
+    s.tile->p[ir] = 0;
   }
   // Column i: clear the local bit of every tile in block column ib.
   for (std::size_t rb = 0; rb < nb_; ++rb) {
-    Tile* t = acquire(rb, ib, /*create=*/false);
+    Tile* t = find_tile(rb, ib);
     if (t == nullptr) continue;
     for (std::size_t r = 0; r < 64; ++r) {
       t->s[r] &= ~ibit;
       t->p[r] &= ~ibit;
     }
   }
-  // Prune tiles the clears emptied (collect first: erasing invalidates).
-  for (std::size_t rb = 0; rb < nb_; ++rb) {
-    auto& slots = rows_[rb].slots;
-    slots.erase(std::remove_if(slots.begin(), slots.end(),
-                               [&](const Slot& s) {
-                                 if (!s.tile || !tile_is_zero(*s.tile))
-                                   return false;
-                                 if (backend_ != nullptr) --resident_;
-                                 return true;
-                               }),
-                slots.end());
+  // Prune tiles the clears emptied.
+  for (RowBlock& row : rows_) {
+    std::erase_if(row.slots,
+                  [](const Slot& s) { return tile_is_zero(*s.tile); });
   }
-  checkpoint();
 }
 
 std::size_t TiledDepMatrix::count_nonzero() const {
   std::size_t c = 0;
   for (std::size_t rb = 0; rb < nb_; ++rb) {
-    for (const Slot& s : rows_[rb].slots) {
-      const Tile* t = acquire(rb, s.cb, false);
-      c += tile_popcount(t->s);
-    }
+    for (const Slot& s : rows_[rb].slots) c += tile_popcount(s.tile->s);
   }
   return c;
 }
@@ -382,10 +200,7 @@ std::size_t TiledDepMatrix::count_nonzero() const {
 std::size_t TiledDepMatrix::count_path() const {
   std::size_t c = 0;
   for (std::size_t rb = 0; rb < nb_; ++rb) {
-    for (const Slot& s : rows_[rb].slots) {
-      const Tile* t = acquire(rb, s.cb, false);
-      c += tile_popcount(t->p);
-    }
+    for (const Slot& s : rows_[rb].slots) c += tile_popcount(s.tile->p);
   }
   return c;
 }
@@ -394,12 +209,11 @@ void TiledDepMatrix::mark_endpoints(std::vector<bool>& endpoints) const {
   assert(endpoints.size() == n_);
   for (std::size_t rb = 0; rb < nb_; ++rb) {
     for (const Slot& s : rows_[rb].slots) {
-      const Tile* t = acquire(rb, s.cb, false);
       std::uint64_t cols = 0;
       for (std::size_t r = 0; r < 64; ++r) {
-        if (t->s[r] == 0) continue;
+        if (s.tile->s[r] == 0) continue;
         endpoints[rb * 64 + r] = true;
-        cols |= t->s[r];
+        cols |= s.tile->s[r];
       }
       while (cols) {
         const unsigned c = static_cast<unsigned>(std::countr_zero(cols));
@@ -408,16 +222,6 @@ void TiledDepMatrix::mark_endpoints(std::vector<bool>& endpoints) const {
       }
     }
   }
-}
-
-std::size_t TiledDepMatrix::tiles_resident() const {
-  std::size_t c = 0;
-  for (const RowBlock& row : rows_) {
-    for (const Slot& s : row.slots) {
-      if (s.tile) ++c;
-    }
-  }
-  return c;
 }
 
 std::size_t TiledDepMatrix::tiles_nonzero() const {
@@ -430,16 +234,10 @@ std::uint64_t TiledDepMatrix::memory_bytes() const {
   // Content-derived (sizes, not vector capacities): a matrix restored
   // from the artifact store must report the same footprint as the run
   // that computed it, or warm analysis reports stop being byte-identical
-  // to cold ones. Under a spill budget the figure still tracks the
-  // actual resident tile set.
+  // to cold ones.
   std::uint64_t bytes = rows_.size() * sizeof(RowBlock);
-  for (const RowBlock& row : rows_) {
-    bytes += row.slots.size() * sizeof(Slot);
-    for (const Slot& s : row.slots) {
-      if (s.tile) bytes += kTileBytes;
-      bytes += s.handle.size();
-    }
-  }
+  for (const RowBlock& row : rows_)
+    bytes += row.slots.size() * (sizeof(Slot) + kTileBytes);
   return bytes;
 }
 
@@ -447,8 +245,7 @@ std::uint64_t TiledDepMatrix::memory_bytes() const {
 // Kernels
 
 void TiledDepMatrix::closure_plane(bool path_plane,
-                                   const std::vector<std::uint64_t>& amask,
-                                   ThreadPool* pool) {
+                                   const std::vector<std::uint64_t>& amask) {
   // Blocked Floyd-Warshall over one bit plane. For each 64-wide via block
   // K (restricted to active vias am): close the diagonal tile, push it
   // through K's row panel (D* ⊗ T[K][C]) and, per other row block R,
@@ -459,14 +256,13 @@ void TiledDepMatrix::closure_plane(bool path_plane,
   // kernel. In-place panel updates are sound because D is closed first
   // (any chain through an already-updated row is subsumed by a direct
   // via, the standard blocked-FW argument).
-  const bool parallel = use_pool(pool, nb_);
   auto rows_of = [path_plane](Tile* t) -> std::uint64_t* {
     return path_plane ? t->p : t->s;
   };
   for (std::size_t K = 0; K < nb_; ++K) {
     const std::uint64_t am = amask[K];
     if (am == 0) continue;
-    Tile* dt = acquire(K, K, /*create=*/false);
+    Tile* dt = find_tile(K, K);
     std::uint64_t* D = dt != nullptr ? rows_of(dt) : nullptr;
     if (D != nullptr) {
       // Close the diagonal tile over active vias. krow is copied, so the
@@ -481,13 +277,9 @@ void TiledDepMatrix::closure_plane(bool path_plane,
         }
       }
       // Row panel: every tile (K, C != K) absorbs D's reachability.
-      auto& kslots = rows_[K].slots;
-      auto panel = [&](std::size_t si) {
-        Slot& s = kslots[si];
-        if (s.cb == K) return;
-        // acquire: faults a spilled tile in and marks it dirty before the
-        // in-place update (no-op without a backend, and then thread-safe).
-        std::uint64_t* T = rows_of(acquire(K, s.cb, false));
+      for (Slot& s : rows_[K].slots) {
+        if (s.cb == K) continue;
+        std::uint64_t* T = rows_of(s.tile.get());
         for (std::uint64_t vias = am; vias != 0; vias &= vias - 1) {
           const unsigned kk = static_cast<unsigned>(std::countr_zero(vias));
           const std::uint64_t krow = T[kk];
@@ -497,20 +289,14 @@ void TiledDepMatrix::closure_plane(bool path_plane,
             if (D[i] & kb) T[i] |= krow;
           }
         }
-      };
-      if (parallel) {
-        pool->parallel_for(0, kslots.size(), panel, /*grain=*/1);
-      } else {
-        for (std::size_t si = 0; si < kslots.size(); ++si) panel(si);
       }
     }
-    // Column panel + interior, independent per row block R: each R only
-    // mutates rows_[R] (interior creates tiles there) and reads the
-    // stable row block K.
-    auto row_block = [&](std::size_t R) {
-      if (R == K) return;
-      Tile* at = acquire(R, K, /*create=*/false);
-      if (at == nullptr) return;
+    // Column panel + interior per other row block R. The interior creates
+    // tiles in rows_[R] only, so row block K's slots stay put.
+    for (std::size_t R = 0; R < nb_; ++R) {
+      if (R == K) continue;
+      Tile* at = find_tile(R, K);
+      if (at == nullptr) continue;
       std::uint64_t* A = rows_of(at);
       if (D != nullptr) {
         for (std::size_t r = 0; r < 64; ++r) {
@@ -530,7 +316,7 @@ void TiledDepMatrix::closure_plane(bool path_plane,
       std::memcpy(arow, A, sizeof arow);
       for (const Slot& bslot : rows_[K].slots) {
         if (bslot.cb == K) continue;
-        const std::uint64_t* B = rows_of(acquire(K, bslot.cb, false));
+        const std::uint64_t* B = rows_of(bslot.tile.get());
         Tile* dest = nullptr;
         std::uint64_t* dw = nullptr;
         for (std::size_t r = 0; r < 64; ++r) {
@@ -543,26 +329,18 @@ void TiledDepMatrix::closure_plane(bool path_plane,
           }
           if (add == 0) continue;
           if (dest == nullptr) {
-            dest = acquire(R, bslot.cb, /*create=*/true);
+            dest = find_or_create(R, bslot.cb);
             dw = rows_of(dest);
           }
           dw[r] |= add;
         }
       }
-    };
-    if (parallel) {
-      pool->parallel_for(0, nb_, row_block, /*grain=*/1);
-    } else {
-      for (std::size_t R = 0; R < nb_; ++R) row_block(R);
     }
-    checkpoint();
   }
 }
 
-void TiledDepMatrix::transitive_closure(const std::vector<bool>* active,
-                                        ThreadPool* pool) {
+void TiledDepMatrix::transitive_closure(const std::vector<bool>* active) {
   obs::Span span(obs::TraceSession::active(), "closure.transitive");
-  ThreadPool* ep = backend_ != nullptr ? nullptr : pool;
   std::vector<std::uint64_t> amask(nb_, 0);
   for (std::size_t K = 0; K < nb_; ++K) {
     std::uint64_t m = edge_mask(K);
@@ -580,15 +358,11 @@ void TiledDepMatrix::transitive_closure(const std::vector<bool>* active,
   // then re-establish P implies S per tile. Tiles created while closing
   // P carry an empty S plane until the fixup — same transient state the
   // dense planes go through.
-  closure_plane(/*path_plane=*/true, amask, ep);
-  closure_plane(/*path_plane=*/false, amask, ep);
-  for (std::size_t rb = 0; rb < nb_; ++rb) {
-    for (Slot& s : rows_[rb].slots) {
-      Tile* t = acquire(rb, s.cb, false);
-      or_words(t->s, t->p, 64);
-    }
+  closure_plane(/*path_plane=*/true, amask);
+  closure_plane(/*path_plane=*/false, amask);
+  for (RowBlock& row : rows_) {
+    for (Slot& s : row.slots) or_words(s.tile->s, s.tile->p, 64);
   }
-  checkpoint();
 }
 
 bool TiledDepMatrix::compose_round(const TiledDepMatrix& cur,
@@ -597,7 +371,7 @@ bool TiledDepMatrix::compose_round(const TiledDepMatrix& cur,
   // One bounded-closure round: row i absorbs one.row(v) for every via v
   // with cur(i, v) set (P plane only through P vias). Tile-at-a-time:
   // cur tile (rb, vb) composes with one tiles (vb, cb) into this (rb, cb).
-  const bool parallel = use_pool(pool, nb_) && backend_ == nullptr;
+  const bool parallel = use_pool(pool, nb_);
   auto extend_block = [&](std::size_t rb) -> bool {
     bool changed = false;
     for (const Slot& cslot : cur.rows_[rb].slots) {
@@ -621,7 +395,7 @@ bool TiledDepMatrix::compose_round(const TiledDepMatrix& cur,
             pvias &= pvias - 1;
           }
           if (add_s == 0 && add_p == 0) continue;
-          if (dest == nullptr) dest = acquire(rb, oslot.cb, /*create=*/true);
+          if (dest == nullptr) dest = find_or_create(rb, oslot.cb);
           changed |= (add_s & ~dest->s[r]) != 0;
           changed |= (add_p & ~dest->p[r]) != 0;
           dest->s[r] |= add_s;
@@ -629,7 +403,6 @@ bool TiledDepMatrix::compose_round(const TiledDepMatrix& cur,
         }
       }
     }
-    checkpoint();
     return changed;
   };
   if (parallel) {
@@ -645,16 +418,14 @@ bool TiledDepMatrix::compose_round(const TiledDepMatrix& cur,
 bool TiledDepMatrix::bounded_closure(std::size_t cycles, ThreadPool* pool) {
   obs::TraceSession* trace = obs::TraceSession::active();
   obs::Span span(trace, "closure.bounded");
-  ThreadPool* ep = backend_ != nullptr ? nullptr : pool;
-  // Snapshots are fully-resident deep copies; with a spill backend the
-  // bounded closure therefore holds up to two extra resident copies —
-  // acceptable because the bounded mode is a repro/analysis knob, not the
-  // scale path (which runs the full transitive closure).
+  // Holds up to two extra copies of the matrix — acceptable because the
+  // bounded mode is a repro/analysis knob, not the scale path (which runs
+  // the full transitive closure).
   const TiledDepMatrix one(*this);
   bool changed_last = false;
   for (std::size_t round = 1; round < cycles; ++round) {
     const TiledDepMatrix cur(*this);
-    const bool changed = compose_round(cur, one, ep);
+    const bool changed = compose_round(cur, one, pool);
     changed_last = changed;
     if (trace != nullptr) trace->counter("closure.rounds").add(1);
     if (!changed) break;
@@ -678,13 +449,12 @@ void TiledDepMatrix::eliminate(std::size_t v) {
   };
   std::vector<VOut> vout;
   for (const Slot& s : rows_[vb].slots) {
-    const Tile* t = s.tile ? s.tile.get() : acquire(vb, s.cb, false);
-    if (t->s[vr] == 0) continue;
-    vout.push_back(VOut{s.cb, t->s[vr], t->p[vr]});
+    if (s.tile->s[vr] == 0) continue;
+    vout.push_back(VOut{s.cb, s.tile->s[vr], s.tile->p[vr]});
   }
   if (!vout.empty()) {
     for (std::size_t pb = 0; pb < nb_; ++pb) {
-      const Tile* col = acquire(pb, vb, /*create=*/false);
+      const Tile* col = tile_at(pb, vb);
       if (col == nullptr) continue;
       // Column-v masks, snapshotted before any tile creation in block
       // row pb can move `col`.
@@ -701,7 +471,7 @@ void TiledDepMatrix::eliminate(std::size_t v) {
         const bool in_path = ((col_p >> r) & 1ULL) != 0;
         const std::size_t p = pb * 64 + r;
         for (const VOut& out : vout) {
-          Tile* dest = acquire(pb, out.cb, /*create=*/true);
+          Tile* dest = find_or_create(pb, out.cb);
           // Same diagonal rule as the dense kernel: bridging p->v->p is a
           // cycle through v, not a self-dependency of p.
           const bool diag = out.cb == pb;
@@ -716,7 +486,6 @@ void TiledDepMatrix::eliminate(std::size_t v) {
           }
         }
       }
-      checkpoint();
     }
   }
   clear_node(v);
@@ -731,8 +500,7 @@ std::vector<std::size_t> TiledDepMatrix::successors(std::size_t i) const {
   const std::size_t rb = i >> 6;
   const std::size_t r = i & 63;
   for (const Slot& s : rows_[rb].slots) {
-    const Tile* t = acquire(rb, s.cb, false);
-    std::uint64_t bits = t->s[r];
+    std::uint64_t bits = s.tile->s[r];
     while (bits != 0) {
       out.push_back(s.cb * 64 +
                     static_cast<std::size_t>(std::countr_zero(bits)));
@@ -756,14 +524,13 @@ std::size_t TiledDepMatrix::path_successor_count(std::size_t i) const {
   std::size_t count = 0;
   for (const Slot& s : rows_[rb].slots)
     count += static_cast<std::size_t>(
-        std::popcount(acquire(rb, s.cb, false)->p[i & 63]));
+        std::popcount(s.tile->p[i & 63]));
   return count;
 }
 
 void TiledDepMatrix::for_each_entry(
     const std::function<void(std::size_t, std::size_t, DepKind)>& fn) const {
   for (std::size_t rb = 0; rb < nb_; ++rb) {
-    for (const Slot& s : rows_[rb].slots) (void)acquire(rb, s.cb, false);
     for (std::size_t r = 0; r < 64; ++r) {
       const std::size_t i = rb * 64 + r;
       if (i >= n_) break;
@@ -788,7 +555,7 @@ DepMatrix TiledDepMatrix::to_dense() const {
   std::vector<std::uint64_t> p(n_ * wpr, 0);
   for (std::size_t rb = 0; rb < nb_; ++rb) {
     for (const Slot& slot : rows_[rb].slots) {
-      const Tile* t = acquire(rb, slot.cb, false);
+      const Tile* t = slot.tile.get();
       const std::size_t rmax = std::min<std::size_t>(64, n_ - rb * 64);
       for (std::size_t r = 0; r < rmax; ++r) {
         s[(rb * 64 + r) * wpr + slot.cb] |= t->s[r];
@@ -821,10 +588,8 @@ TiledDepMatrix TiledDepMatrix::from_dense(const DepMatrix& m) {
         nonzero |= (s[w] | p[w]) != 0;
       }
       if (!nonzero) continue;
-      Slot slot;
-      slot.cb = static_cast<std::uint32_t>(cb);
-      slot.tile = std::make_unique<Tile>(tile);
-      out.rows_[rb].slots.push_back(std::move(slot));
+      out.rows_[rb].slots.push_back(
+          Slot{static_cast<std::uint32_t>(cb), std::make_unique<Tile>(tile)});
     }
   }
   return out;
@@ -835,9 +600,8 @@ void TiledDepMatrix::for_each_tile(
     const {
   for (std::size_t rb = 0; rb < nb_; ++rb) {
     for (const Slot& s : rows_[rb].slots) {
-      const Tile* t = acquire(rb, s.cb, false);
-      if (tile_is_zero(*t)) continue;
-      fn(rb, s.cb, *t);
+      if (tile_is_zero(*s.tile)) continue;
+      fn(rb, s.cb, *s.tile);
     }
   }
 }
@@ -859,39 +623,27 @@ bool TiledDepMatrix::insert_tile(std::size_t rb, std::size_t cb,
     if ((t.s[r] | t.p[r]) & ~cmask) return false;
     if (t.p[r] & ~t.s[r]) return false;
   }
-  Slot slot;
-  slot.cb = static_cast<std::uint32_t>(cb);
-  slot.tile = std::make_unique<Tile>(t);
-  if (backend_ != nullptr) {
-    slot.stamp = ++clock_;
-    ++resident_;
-  }
-  slots.push_back(std::move(slot));
-  checkpoint();
+  slots.push_back(
+      Slot{static_cast<std::uint32_t>(cb), std::make_unique<Tile>(t)});
   return true;
 }
 
 const TiledDepMatrix::Tile* TiledDepMatrix::tile_at(std::size_t rb,
                                                     std::size_t cb) const {
-  return acquire(rb, cb, false);
+  const auto& slots = rows_[rb].slots;
+  auto it = lower_slot(slots, cb);
+  return it != slots.end() && it->cb == cb ? it->tile.get() : nullptr;
 }
 
 void TiledDepMatrix::assign_tile(std::size_t rb, std::size_t cb,
                                  const Tile& t) {
   if (tile_is_zero(t)) {
-    const Slot* s = find_slot(rb, cb);
-    if (s == nullptr) return;
-    // Reuse the mutator path that already knows how to drop a slot (and
-    // its resident accounting) safely.
-    Tile* resident = acquire(rb, cb, false);
-    if (resident != nullptr) *resident = t;
-    prune_if_zero(rb, cb);
-    checkpoint();
+    auto& slots = rows_[rb].slots;
+    auto it = lower_slot(slots, cb);
+    if (it != slots.end() && it->cb == cb) slots.erase(it);
     return;
   }
-  Tile* dest = acquire(rb, cb, true);
-  *dest = t;
-  checkpoint();
+  *find_or_create(rb, cb) = t;
 }
 
 bool operator==(const TiledDepMatrix& a, const TiledDepMatrix& b) {
@@ -909,15 +661,14 @@ bool operator==(const TiledDepMatrix& a, const TiledDepMatrix& b) {
       const std::uint32_t cb =
           ib < bs.size() ? bs[ib].cb : std::numeric_limits<std::uint32_t>::max();
       if (ca < cb) {
-        if (!tile_is_zero(*a.acquire(rb, ca, false))) return false;
+        if (!tile_is_zero(*as[ia].tile)) return false;
         ++ia;
       } else if (cb < ca) {
-        if (!tile_is_zero(*b.acquire(rb, cb, false))) return false;
+        if (!tile_is_zero(*bs[ib].tile)) return false;
         ++ib;
       } else {
-        const TiledDepMatrix::Tile* ta = a.acquire(rb, ca, false);
-        const TiledDepMatrix::Tile* tb = b.acquire(rb, cb, false);
-        if (std::memcmp(ta, tb, sizeof(TiledDepMatrix::Tile)) != 0)
+        if (std::memcmp(as[ia].tile.get(), bs[ib].tile.get(),
+                        sizeof(TiledDepMatrix::Tile)) != 0)
           return false;
         ++ia;
         ++ib;

@@ -2,8 +2,7 @@
 // reference analysis of tests/reference (dense DepMatrix kernels): on
 // every BASTION family and an MBIST array, the analyzer produces exactly
 // the reference's matrices and capture dependencies — at one and at eight
-// threads, and with tiles spilling through a backend under a tiny
-// residency budget.
+// threads.
 
 #include <gtest/gtest.h>
 
@@ -65,23 +64,6 @@ TEST(PartitionedOracle, TiledMatchesDenseOnAllFamilies) {
   }
 }
 
-TEST(PartitionedOracle, SpillBudgetDoesNotChangeTheResult) {
-  for (const char* family : {"Mingle", "TreeBalanced", "MBIST_2_3_2"}) {
-    Workload w(family);
-    DepOptions spill_opt;
-    // A budget of one tile per matrix: essentially everything evicts, so
-    // every kernel exercises the fault-in path.
-    spill_opt.tile_spill_budget = sizeof(TiledDepMatrix::Tile);
-    InMemorySpillBackend backend;
-    spill_opt.spill_backend = &backend;
-    DependencyAnalyzer spilled = run_analysis(w, spill_opt);
-    reference::expect_matches(spilled,
-                              reference::analyze(w.circuit, w.doc.network),
-                              w.doc.network, family);
-    EXPECT_GT(spilled.stats().tiles_spilled, 0u) << family;
-  }
-}
-
 TEST(PartitionedOracle, LargeCircuitsSplitIntoRegions) {
   // StructuralOnly keeps the large instance fast (no SAT) — the
   // partition is fixed before any classification work.
@@ -95,7 +77,7 @@ TEST(PartitionedOracle, LargeCircuitsSplitIntoRegions) {
   b.run();
   EXPECT_GT(b.stats().regions, 1u);
   EXPECT_GT(b.stats().tiles_nonzero, 0u);
-  // Block-sparse: far fewer resident bytes than the two dense n x n
+  // Block-sparse: far fewer bytes than the two dense n x n
   // bit-plane pairs (4 planes of n^2 bits).
   const std::uint64_t n = circuit.ffs().size();
   EXPECT_LT(b.stats().matrix_bytes, n * n / 2);

@@ -18,6 +18,7 @@
 #include "core/tool.hpp"
 #include "obs/trace.hpp"
 #include "store/artifact_store.hpp"
+#include "store/codec.hpp"
 
 namespace rsnsec::dep {
 // Namespace scope so ADL finds it from std::vector's element-wise
@@ -320,6 +321,180 @@ TEST(DepStore, WarmPipelineRunsZeroSatCalls) {
   encode_rsn(cold_rsn, cold_w.doc.network);
   encode_rsn(warm_rsn, warm_w.doc.network);
   EXPECT_EQ(cold_rsn.bytes(), warm_rsn.bytes());
+}
+
+// Tiled snapshots restore bit-identically, and blobs of the previous
+// payload format (a representation flag selecting dense or tiled matrix
+// sections) are never served.
+
+TEST(TiledDepCacheTest, TiledSnapshotRestoresBitIdentically) {
+  Workload w("Mingle", 11, 100);
+  ArtifactStore store(test_root());
+
+  DependencyAnalyzer cold(w.circuit, w.doc.network, {});
+  EXPECT_FALSE(run_with_store(&store, cold));
+
+  DependencyAnalyzer warm(w.circuit, w.doc.network, {});
+  EXPECT_TRUE(run_with_store(&store, warm));
+  EXPECT_EQ(warm.stats().threads_used, 0u);  // served, not computed
+  EXPECT_TRUE(warm.one_cycle() == cold.one_cycle());
+  EXPECT_TRUE(warm.circuit_closure() == cold.circuit_closure());
+  EXPECT_EQ(warm.stats().closure_deps, cold.stats().closure_deps);
+  EXPECT_EQ(warm.stats().closure_path_deps, cold.stats().closure_path_deps);
+  EXPECT_EQ(warm.stats().sat_calls, cold.stats().sat_calls);
+  // regions is recomputed live (pure function of the circuit), and the
+  // footprint is refreshed from the restored matrices.
+  EXPECT_EQ(warm.stats().regions, cold.stats().regions);
+  EXPECT_EQ(warm.stats().tiles_nonzero, cold.stats().tiles_nonzero);
+  EXPECT_GT(warm.stats().matrix_bytes, 0u);
+  // memory_bytes is content-derived, so the restored footprint must match
+  // the computed one exactly — otherwise warm analyze reports diverge
+  // from cold ones.
+  EXPECT_EQ(warm.stats().matrix_bytes, cold.stats().matrix_bytes);
+}
+
+/// Key of the previous (v4) recipe, which carried a matrix-representation
+/// byte and four more option bytes in its fingerprint.
+std::string v4_key(const Workload& w, const DepOptions& opt,
+                   std::uint8_t partition) {
+  ByteWriter k;
+  k.str("rsnsec-dep-v4");
+  ByteWriter nl_bytes;
+  encode_netlist(nl_bytes, w.circuit);
+  k.section(nl_bytes);
+  ByteWriter rsn_bytes;
+  encode_rsn(rsn_bytes, w.doc.network);
+  k.section(rsn_bytes);
+  ByteWriter o;
+  o.u8(static_cast<std::uint8_t>(opt.mode));
+  o.u8(opt.bridge_internal ? 1 : 0);
+  o.zigzag(opt.sim_rounds);
+  o.varint(opt.sat_conflict_limit);
+  o.varint(opt.max_cycles);
+  o.varint(opt.seed);
+  for (int toggle = 0; toggle < 4; ++toggle) o.u8(1);
+  o.u8(partition);
+  k.section(o);
+  return Sha256::hex(k.bytes());
+}
+
+TEST(TiledDepCacheTest, CacheKeySeparatesRepresentations) {
+  // Blobs of the previous payload format (dense or tiled representation
+  // behind a flag byte) live under keys the current recipe never
+  // produces, so a current analyzer cannot even look them up.
+  Workload w("BasicSCB", 11, 100);
+  DepOptions opt;
+  const std::string key = dep_cache_key(w.circuit, w.doc.network, opt);
+  for (std::uint8_t partition : {0, 1, 2})
+    EXPECT_NE(key, v4_key(w, opt, partition)) << int{partition};
+
+  // The thread count is an execution knob: any thread count, same key
+  // (the snapshot is bit-identical).
+  opt.num_threads = 3;
+  EXPECT_EQ(dep_cache_key(w.circuit, w.doc.network, opt), key);
+}
+
+/// The current snapshot encoding split at the matrix sections: the
+/// internal-FF bit vector before them, capture deps + stats after them.
+struct SnapshotParts {
+  std::string head;
+  std::string tail;
+};
+
+SnapshotParts split_snapshot(const std::string& blob) {
+  ByteReader r(blob);
+  const std::uint64_t n = r.varint();
+  for (std::uint64_t word = 0; word < (n + 63) / 64; ++word) r.fixed64();
+  SnapshotParts parts;
+  parts.head = blob.substr(0, blob.size() - r.remaining());
+  r.section();
+  r.section();
+  parts.tail = blob.substr(blob.size() - r.remaining());
+  return parts;
+}
+
+TEST(TiledDepCacheTest, TamperedRepresentationFlagIsRejected) {
+  // The previous payload format put a representation flag (0 = dense,
+  // 1 = tiled) between the internal-FF bits and the matrix sections. A
+  // current blob with such a flag spliced in is malformed.
+  Workload w("BasicSCB", 11, 100);
+  DependencyAnalyzer a(w.circuit, w.doc.network, {});
+  a.run();
+  ByteWriter wtr;
+  encode_dep_snapshot(wtr, a.snapshot());
+  const std::string blob = wtr.bytes();
+  {
+    ByteReader r(blob);
+    EXPECT_NO_THROW((void)decode_dep_snapshot(r));
+  }
+  const SnapshotParts parts = split_snapshot(blob);
+  for (char flag : {'\0', '\1'}) {
+    std::string tampered = blob;
+    tampered.insert(parts.head.size(), 1, flag);
+    ByteReader r(tampered);
+    EXPECT_THROW(
+        {
+          (void)decode_dep_snapshot(r);
+          r.expect_end();
+        },
+        CodecError)
+        << "flag " << int{flag};
+  }
+}
+
+TEST(TiledDepCacheTest, MismatchedRepresentationBlobIsDiscarded) {
+  // A blob in the previous payload format — dense bit planes or tiles
+  // behind a representation flag — planted under the current key is a
+  // miss: discarded and recomputed, with no crash and no error.
+  Workload w("Mingle", 11, 100);
+  DependencyAnalyzer fresh(w.circuit, w.doc.network, {});
+  fresh.run();
+  ByteWriter current;
+  encode_dep_snapshot(current, fresh.snapshot());
+  const SnapshotParts parts = split_snapshot(current.bytes());
+
+  auto dense_section = [](const DepMatrix& m) {
+    ByteWriter sec;
+    sec.varint(m.size());
+    for (std::uint64_t word : m.plane_s()) sec.fixed64(word);
+    for (std::uint64_t word : m.plane_p()) sec.fixed64(word);
+    return sec;
+  };
+  auto tiled_section = [](const TiledDepMatrix& m) {
+    ByteWriter sec;
+    encode_tiled_matrix(sec, m);
+    return sec;
+  };
+  ByteWriter dense_blob;
+  dense_blob.raw(parts.head.data(), parts.head.size());
+  dense_blob.u8(0);
+  dense_blob.section(dense_section(fresh.one_cycle().to_dense()));
+  dense_blob.section(dense_section(fresh.circuit_closure().to_dense()));
+  dense_blob.raw(parts.tail.data(), parts.tail.size());
+  ByteWriter tiled_blob;
+  tiled_blob.raw(parts.head.data(), parts.head.size());
+  tiled_blob.u8(1);
+  tiled_blob.section(tiled_section(fresh.one_cycle()));
+  tiled_blob.section(tiled_section(fresh.circuit_closure()));
+  tiled_blob.raw(parts.tail.data(), parts.tail.size());
+
+  for (const ByteWriter* old : {&dense_blob, &tiled_blob}) {
+    ArtifactStore store(test_root());
+    const std::string key = dep_cache_key(w.circuit, w.doc.network, {});
+    store.put(key, old->bytes());
+
+    DependencyAnalyzer cold(w.circuit, w.doc.network, {});
+    EXPECT_FALSE(run_with_store(&store, cold));
+    EXPECT_EQ(store.counters().misses, 1u);
+    EXPECT_EQ(store.counters().hits, 0u);
+    EXPECT_TRUE(cold.circuit_closure() == fresh.circuit_closure());
+    EXPECT_EQ(cold.stats().sat_calls, fresh.stats().sat_calls);
+
+    // The recomputed result replaced the old blob: the next run hits.
+    DependencyAnalyzer warm(w.circuit, w.doc.network, {});
+    EXPECT_TRUE(run_with_store(&store, warm));
+    EXPECT_TRUE(warm.circuit_closure() == fresh.circuit_closure());
+  }
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "support/minijson.hpp"
 
@@ -182,7 +185,9 @@ TEST_F(CliTest, ErrorsAreReported) {
   EXPECT_EQ(run_cli({"generate", "--benchmark", "NoSuch", "--out-rsn",
                      path("x.rsn")}),
             1);
-  EXPECT_EQ(run_cli({"secure", "--oops"}), 1);
+  // An option no subcommand reads is a usage error, value or not.
+  EXPECT_EQ(run_cli({"secure", "--oops"}), 2);
+  EXPECT_NE(err_.str().find("unknown option '--oops'"), std::string::npos);
 }
 
 TEST_F(CliTest, MalformedNumbersAreUsageErrors) {
@@ -528,27 +533,35 @@ TEST_F(CliTest, AnalyzeReportsTiledFootprint) {
       << out_.str();
 }
 
-TEST_F(CliTest, TileSpillBudgetRequiresStore) {
-  // MBIST_2_4_4 is big enough (several hundred circuit FFs) that a
-  // 4 KiB residency budget must evict tiles.
-  ASSERT_EQ(run_cli({"generate", "--benchmark", "MBIST_2_4_4", "--seed",
-                     "3", "--out-rsn", path("n.rsn"), "--out-verilog",
+TEST_F(CliTest, UnknownOptionsAreUsageErrors) {
+  ASSERT_EQ(run_cli({"generate", "--benchmark", "BasicSCB", "--seed", "3",
+                     "--out-rsn", path("n.rsn"), "--out-verilog",
                      path("c.v"), "--out-spec", path("s.spec")}),
             0)
       << err_.str();
-  int rc = run_cli({"analyze", "--rsn", path("n.rsn"), "--verilog",
-                    path("c.v"), "--spec", path("s.spec"),
-                    "--tile-spill-budget", "4096"});
-  EXPECT_EQ(rc, 2);
-  EXPECT_NE(err_.str().find("--tile-spill-budget"), std::string::npos);
-  EXPECT_NE(err_.str().find("--store"), std::string::npos);
-
-  rc = run_cli({"analyze", "--rsn", path("n.rsn"), "--verilog", path("c.v"),
-                "--spec", path("s.spec"), "--json", "--tile-spill-budget",
-                "4096", "--store", path("store")});
-  ASSERT_TRUE(rc == 0 || rc == 2) << err_.str();
-  EXPECT_EQ(out_.str().find("\"dep_tiles_spilled\": 0"), std::string::npos)
-      << out_.str();
+  const std::vector<std::string> analyze = {
+      "analyze", "--rsn", path("n.rsn"), "--verilog", path("c.v"),
+      "--spec", path("s.spec")};
+  // A retired option and a misspelled one are rejected before any work
+  // runs, with the offending name quoted.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"--tile-spill-budget", "4096"}, {"--jbos", "4"}};
+  for (const auto& [bad, value] : rejected) {
+    std::vector<std::string> argv = analyze;
+    argv.insert(argv.end(), {bad, value});
+    EXPECT_EQ(run_cli(argv), 2) << bad;
+    EXPECT_NE(err_.str().find(std::string("unknown option '") + bad + "'"),
+              std::string::npos)
+        << err_.str();
+  }
+  // The options scripts pass alongside the workload files stay accepted.
+  std::vector<std::string> argv = analyze;
+  argv.insert(argv.end(), {"--jobs", "2", "--json", "--metrics", "--store",
+                           path("store"), "--trace", path("t.json")});
+  const int rc = run_cli(argv);
+  EXPECT_TRUE(rc == 0 || rc == 2) << err_.str();
+  EXPECT_EQ(err_.str().find("unknown option"), std::string::npos)
+      << err_.str();
 }
 
 TEST_F(CliTest, OverflowingGenerateDimensionsAreUsageErrors) {
@@ -620,6 +633,48 @@ TEST_F(CliTest, CertifyAgreesWithAnalyzeOnSecuredFlexScan) {
                      path("ckt.v"), "--spec", path("policy.spec")}),
             0)
       << out_.str();
+}
+
+TEST_F(CliTest, SecureIsIdempotentOnItsOwnOutput) {
+  // Securing a secured network must find nothing to change and write the
+  // same bytes back, across families whose fixes are pure, hybrid or
+  // none at all.
+  const std::pair<const char*, const char*> families[] = {
+      {"Mingle", "0.5"},
+      {"FlexScan", "0.02"},
+      {"q12710", "0.1"},
+      {"TreeFlat", "0.2"}};
+  for (const auto& [benchmark, scale] : families) {
+    for (const char* seed : {"1", "2", "3", "4"}) {
+      SCOPED_TRACE(std::string(benchmark) + " seed " + seed);
+      ASSERT_EQ(run_cli({"generate", "--benchmark", benchmark, "--scale",
+                         scale, "--seed", seed, "--out-rsn", path("net.rsn"),
+                         "--out-verilog", path("ckt.v"), "--out-spec",
+                         path("policy.spec")}),
+                0)
+          << err_.str();
+      ASSERT_EQ(run_cli({"secure", "--rsn", path("net.rsn"), "--verilog",
+                         path("ckt.v"), "--spec", path("policy.spec"),
+                         "--out", path("a.rsn")}),
+                0)
+          << err_.str();
+      ASSERT_EQ(run_cli({"secure", "--rsn", path("a.rsn"), "--verilog",
+                         path("ckt.v"), "--spec", path("policy.spec"),
+                         "--out", path("b.rsn"), "--json"}),
+                0)
+          << err_.str();
+      EXPECT_NE(out_.str().find("\"changes\": {\n    \"pure\": 0,\n"
+                                "    \"hybrid\": 0,"),
+                std::string::npos)
+          << out_.str();
+      std::ifstream a(path("a.rsn"));
+      std::ifstream b(path("b.rsn"));
+      std::stringstream once, twice;
+      once << a.rdbuf();
+      twice << b.rdbuf();
+      EXPECT_EQ(once.str(), twice.str());
+    }
+  }
 }
 
 /// Value of work counter `name` in a `secure --json --metrics` report, or

@@ -1,11 +1,13 @@
 #include "tools/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -30,7 +32,6 @@
 #include "serve/service.hpp"
 #include "store/artifact_store.hpp"
 #include "store/dep_cache.hpp"
-#include "store/tile_spill.hpp"
 
 namespace rsnsec::cli {
 
@@ -66,6 +67,19 @@ struct Args {
   }
 };
 
+/// Boolean flags and value options that some subcommand reads. Any other
+/// `--name` is a usage error: a misspelled option must not run silently
+/// with its default.
+constexpr std::string_view kFlags[] = {
+    "filter-baseline", "json", "metrics", "no-hybrid", "no-pure",
+    "no-secure", "no-ternary", "structural", "verify"};
+constexpr std::string_view kValueOptions[] = {
+    "benchmark", "conflict-limit", "icl", "jobs", "max-bytes",
+    "max-findings", "max-request-bytes", "mode", "out", "out-rsn",
+    "out-spec", "out-verilog", "port", "queue-depth", "rsn", "scale",
+    "scenario", "seed", "socket", "spec", "store", "target-ffs",
+    "target-regs", "top", "trace", "verilog", "workers"};
+
 Args parse_args(const std::vector<std::string>& argv) {
   Args args;
   args.command = argv.at(0);
@@ -80,14 +94,12 @@ Args parse_args(const std::vector<std::string>& argv) {
       continue;
     }
     std::string key = a.substr(2);
-    // Boolean flags.
-    if (key == "structural" || key == "json" || key == "no-pure" ||
-        key == "no-hybrid" || key == "no-ternary" ||
-        key == "filter-baseline" || key == "verify" ||
-        key == "metrics" || key == "no-secure") {
+    if (std::ranges::find(kFlags, key) != std::end(kFlags)) {
       args.flags.push_back(key);
       continue;
     }
+    if (std::ranges::find(kValueOptions, key) == std::end(kValueOptions))
+      throw UsageError("unknown option '--" + key + "'");
     if (i + 1 >= argv.size())
       throw std::runtime_error("option --" + key + " needs a value");
     // Duplicated value options are last-occurrence-wins by contract (the
@@ -239,31 +251,9 @@ PipelineOptions pipeline_options(const Args& args) {
     opt.verify_certify = true;
     opt.verify_attack = true;
   }
-  // Resident-byte budget per tiled matrix; tiles beyond it spill to the
-  // artifact store. The backend itself is wired by the subcommand, which
-  // owns the store handle.
-  if (auto b = args.get("tile-spill-budget"))
-    opt.dep.tile_spill_budget = u64_or_usage(*b, "--tile-spill-budget");
   opt.dep.num_threads = jobs_option(args);
   opt.resolve.num_threads = opt.dep.num_threads;
   return opt;
-}
-
-/// Wires the out-of-core tile spill path: with --tile-spill-budget set,
-/// evicted tiles go through an ArtifactSpillBackend over the invocation's
-/// store. Asking for spill without a store is a usage error — there would
-/// be nowhere to put the tiles. Returns the backend (owning pointer; must
-/// outlive the analysis) or nullptr when spilling is off.
-std::unique_ptr<store::ArtifactSpillBackend> wire_spill(
-    PipelineOptions& opt, store::ArtifactStore* artifact_store) {
-  if (opt.dep.tile_spill_budget == 0) return nullptr;
-  if (artifact_store == nullptr)
-    throw UsageError(
-        "--tile-spill-budget needs an artifact store (--store DIR or "
-        "RSNSEC_STORE)");
-  auto backend = std::make_unique<store::ArtifactSpillBackend>(artifact_store);
-  opt.dep.spill_backend = backend.get();
-  return backend;
 }
 
 int cmd_lint(const Args& args, std::ostream& out) {
@@ -357,8 +347,6 @@ int cmd_analyze(const Args& args, std::ostream& out) {
 
   std::unique_ptr<store::ArtifactStore> artifact_store = open_store(args);
   PipelineOptions popt = pipeline_options(args);
-  std::unique_ptr<store::ArtifactSpillBackend> spill =
-      wire_spill(popt, artifact_store.get());
   dep::DependencyAnalyzer deps(w.circuit, w.doc.network, popt.dep);
   store::run_with_store(artifact_store.get(), deps);
   security::HybridAnalyzer hybrid(w.circuit, w.doc.network, deps, w.spec,
@@ -393,8 +381,7 @@ int cmd_analyze(const Args& args, std::ostream& out) {
         << hybrid_pairs << " incl. hybrid\n";
     out << "dependency matrices:    " << deps.stats().matrix_bytes
         << " bytes resident (" << deps.stats().regions << " regions, "
-        << deps.stats().tiles_nonzero << " tiles, "
-        << deps.stats().tiles_spilled << " spill evictions)\n";
+        << deps.stats().tiles_nonzero << " tiles)\n";
     for (const std::string& d : st.details) out << "  " << d << "\n";
   }
   if (args.has_flag("filter-baseline")) {
@@ -412,8 +399,6 @@ int cmd_secure(const Args& args, std::ostream& out) {
   std::unique_ptr<store::ArtifactStore> artifact_store = open_store(args);
   PipelineOptions opt = pipeline_options(args);
   opt.store = artifact_store.get();
-  std::unique_ptr<store::ArtifactSpillBackend> spill =
-      wire_spill(opt, artifact_store.get());
   SecureFlowTool tool(w.circuit, w.doc.network, w.spec, opt);
   PipelineResult result = tool.run();
 
